@@ -20,16 +20,17 @@ from .core import (
     InsufficientDataError,
     ParameterError,
     Trajectory,
+    l2_norm,
 )
 from .registration import (
-    _cosine_from_arrays,
-    _compose_signal,
+    DEFAULT_MAX_SLOPE,
+    cosine_distance,
     group_action,
     optimal_warping,
     phase_distance,
     to_srvf,
+    warped_copy,
 )
-from .core import l2_norm
 
 __all__ = [
     "DistanceMatrix",
@@ -255,14 +256,13 @@ def _curve_labels(curves: list[Trajectory]) -> list[str]:
 
 
 def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
-                    use_srvf: bool = False, max_slope: int = 7,
+                    max_slope: int = DEFAULT_MAX_SLOPE,
                     labels: list[str] | None = None) -> DistanceMatrix:
     """All-pairs distances, optionally after per-pair elastic alignment.
 
     With `registered`, curve j is warped onto curve i before the metric is
     evaluated; the slightly asymmetric result is symmetrized as (D + D^T)/2.
-    The phase metric only exists for registered pairs. `use_srvf` switches
-    the cosine metric from aligned signals to aligned SRVFs.
+    The phase metric only exists for registered pairs.
     """
     if metric not in METRICS:
         raise ParameterError(f"unknown metric {metric!r}; pick one of {METRICS}")
@@ -287,9 +287,7 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
                 if metric == "amplitude":
                     d[i, j] = l2_norm(qs[i].q - qs[j].q, grid)
                 else:
-                    f = qs[i].q if use_srvf else curves[i].values
-                    g = qs[j].q if use_srvf else curves[j].values
-                    d[i, j] = _cosine_from_arrays(f, g, grid)
+                    d[i, j] = cosine_distance(curves[i], curves[j])
                 continue
             w = optimal_warping(qs[i], qs[j], max_slope)
             if metric == "phase":
@@ -297,13 +295,7 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
             elif metric == "amplitude":
                 d[i, j] = l2_norm(qs[i].q - group_action(qs[j], w).q, grid)
             else:
-                if use_srvf:
-                    d[i, j] = _cosine_from_arrays(
-                        qs[i].q, group_action(qs[j], w).q, grid)
-                else:
-                    d[i, j] = _cosine_from_arrays(
-                        curves[i].values, _compose_signal(curves[j], w).values,
-                        grid)
+                d[i, j] = cosine_distance(curves[i], warped_copy(curves[j], w))
     d = 0.5 * (d + d.T)
     np.fill_diagonal(d, 0.0)
     d[d < 0] = 0.0  # cosine can round to -1e-17 on near-identical pairs

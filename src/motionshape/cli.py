@@ -9,28 +9,18 @@ Subcommands mirror the pipeline stages so each can be exercised alone:
     stats          t-tests and regressions -> stats.json
     report         everything, including matrices and rolling correlations
 
-All subcommands accept a config file (key = value lines) plus per-field
-flag overrides.
+All subcommands accept a config file (key = value lines) plus one override
+flag per PipelineConfig field, spelled --field-name.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pl
-
-_OVERRIDE_FLAGS = [
-    ("--grid-n", "grid_n", int),
-    ("--filter-order", "filter_order", int),
-    ("--cutoff-ratio", "cutoff_ratio", float),
-    ("--channel", "channel", str),
-    ("--dp-max-slope", "dp_max_slope", int),
-    ("--mean-max-iter", "mean_max_iter", int),
-    ("--mean-tol", "mean_tol", float),
-    ("--rolling-window-frac", "rolling_window_frac", float),
-]
 
 
 def _add_common(p: argparse.ArgumentParser, needs_out: bool) -> None:
@@ -42,15 +32,15 @@ def _add_common(p: argparse.ArgumentParser, needs_out: bool) -> None:
         p.add_argument("--out", required=True, type=Path,
                        help="output directory")
     p.add_argument("--skip-bad", action="store_true",
-                   help="skip unreadable trials instead of aborting")
-    for flag, dest, typ in _OVERRIDE_FLAGS:
-        p.add_argument(flag, dest=dest, type=typ, default=None)
+                   help="record bad trials as skipped instead of aborting")
+    for f in fields(pl.PipelineConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
 
 
 def _config(args: argparse.Namespace) -> pl.PipelineConfig:
-    overrides = {dest: getattr(args, dest)
-                 for _, dest, _ in _OVERRIDE_FLAGS
-                 if getattr(args, dest) is not None}
+    overrides = {f.name: getattr(args, f.name)
+                 for f in fields(pl.PipelineConfig)
+                 if getattr(args, f.name) is not None}
     if args.config is not None:
         return pl.PipelineConfig.from_file(args.config, overrides)
     return pl.PipelineConfig(**overrides)
@@ -62,8 +52,7 @@ def _prepare(args, config):
     return ingested, separation
 
 
-def _cmd_ingest_check(args) -> int:
-    config = _config(args)
+def _cmd_ingest_check(args, config) -> int:
     ingested = pl.ingest(args.manifest, config, skip_bad=args.skip_bad)
     for it in ingested.items:
         print(f"ok      {it.label}  ({it.entry.cohort}, n={config.grid_n})")
@@ -73,52 +62,33 @@ def _cmd_ingest_check(args) -> int:
     return 0
 
 
-def _cmd_mean(args) -> int:
-    config = _config(args)
+def _cmd_mean(args, config) -> int:
     _, separation = _prepare(args, config)
-    args.out.mkdir(parents=True, exist_ok=True)
     pl.write_mean_csv(args.out / "mean_healthy.csv", separation.mean)
     print(f"elastic mean written; iterations={separation.iterations} "
           f"converged={separation.converged}")
     return 0
 
 
-def _cmd_align(args) -> int:
-    config = _config(args)
+def _cmd_align(args, config) -> int:
     ingested, separation = _prepare(args, config)
     _, alignment = pl.score_against_mean(ingested.items, separation.mean, config)
-    args.out.mkdir(parents=True, exist_ok=True)
-    pts = separation.mean.grid.points
-    curve_rows, warp_rows = [], []
-    for it, aligned, warp in zip(ingested.items, alignment.aligned,
-                                 alignment.warps):
-        curve_rows += [[it.label, pl._fmt(t), pl._fmt(v)]
-                       for t, v in zip(pts, aligned.values)]
-        warp_rows += [[it.label, pl._fmt(t), pl._fmt(g)]
-                      for t, g in zip(pts, warp.gamma)]
-    pl.write_csv(args.out / "aligned_curves.csv", ["participant", "t", "value"],
-                 curve_rows)
-    pl.write_csv(args.out / "warps.csv", ["participant", "t", "gamma"],
-                 warp_rows)
+    pl.write_alignment_csvs(args.out, [it.label for it in ingested.items],
+                            alignment)
     pl.write_mean_csv(args.out / "mean_healthy.csv", separation.mean)
     print(f"aligned {len(ingested.items)} trial(s) to the healthy mean")
     return 0
 
 
-def _cmd_distances(args) -> int:
-    config = _config(args)
+def _cmd_distances(args, config) -> int:
     ingested, separation = _prepare(args, config)
     scores, _ = pl.score_against_mean(ingested.items, separation.mean, config)
-    args.out.mkdir(parents=True, exist_ok=True)
     pl.write_distances_csv(args.out / "distances.csv", scores)
     print(f"wrote {len(scores)} distance triple(s)")
     return 0
 
 
-def _cmd_stats(args) -> int:
-    import json
-
-    config = _config(args)
+def _cmd_stats(args, config) -> int:
     ingested, separation = _prepare(args, config)
     scores, _ = pl.score_against_mean(ingested.items, separation.mean, config)
     report = pl.CohortReport(
@@ -134,16 +104,12 @@ def _cmd_stats(args) -> int:
         rolling_window=0,
         skipped=ingested.skipped,
     )
-    args.out.mkdir(parents=True, exist_ok=True)
-    with (args.out / "stats.json").open("w") as fh:
-        json.dump(report.summary_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    pl.write_stats_json(args.out / "stats.json", report)
     print("wrote stats.json")
     return 0
 
 
-def _cmd_report(args) -> int:
-    config = _config(args)
+def _cmd_report(args, config) -> int:
     report = pl.run_pipeline(args.manifest, config, args.out,
                              skip_bad=args.skip_bad)
     n = len(report.scores)
@@ -176,9 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, _ = _COMMANDS[args.command]
+    handler, needs_out = _COMMANDS[args.command]
     try:
-        return handler(args)
+        config = _config(args)
+        if needs_out:
+            args.out.mkdir(parents=True, exist_ok=True)
+        return handler(args, config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

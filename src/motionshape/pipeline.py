@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .core import (
 )
 from .preprocess import RawRecording, butterworth_lowpass, resample
 from .registration import (
+    MIN_SIGNAL_NORM,
     RegistrationResult,
     align_to_reference,
     cosine_distance,
@@ -71,15 +73,16 @@ class ManifestEntry:
     dynamometry: float | None = None
 
 
-_CONFIG_RANGES = {
-    "grid_n": "integer >= 3",
-    "filter_order": "integer >= 1",
-    "cutoff_ratio": "real in (0, 1)",
-    "channel": "non-empty column name",
-    "dp_max_slope": "integer >= 1",
-    "mean_max_iter": "integer >= 1",
-    "mean_tol": "real > 0",
-    "rolling_window_frac": "real in (0, 1]",
+# PipelineConfig field -> (valid value?, what a valid value is), in field order
+_CONFIG_RULES = {
+    "grid_n": (lambda v: v >= 3, "integer >= 3"),
+    "filter_order": (lambda v: v >= 1, "integer >= 1"),
+    "cutoff_ratio": (lambda v: 0.0 < v < 1.0, "real in (0, 1)"),
+    "channel": (bool, "non-empty column name"),
+    "dp_max_slope": (lambda v: v >= 1, "integer >= 1"),
+    "mean_max_iter": (lambda v: v >= 1, "integer >= 1"),
+    "mean_tol": (lambda v: v > 0.0, "real > 0"),
+    "rolling_window_frac": (lambda v: 0.0 < v <= 1.0, "real in (0, 1]"),
 }
 
 
@@ -95,29 +98,22 @@ class PipelineConfig:
     rolling_window_frac: float = 0.1
 
     def __post_init__(self):
-        checks = {
-            "grid_n": self.grid_n >= 3,
-            "filter_order": self.filter_order >= 1,
-            "cutoff_ratio": 0.0 < self.cutoff_ratio < 1.0,
-            "channel": bool(self.channel),
-            "dp_max_slope": self.dp_max_slope >= 1,
-            "mean_max_iter": self.mean_max_iter >= 1,
-            "mean_tol": self.mean_tol > 0.0,
-            "rolling_window_frac": 0.0 < self.rolling_window_frac <= 1.0,
-        }
-        for name, ok in checks.items():
-            if not ok:
+        for name, (valid, expected) in _CONFIG_RULES.items():
+            if not valid(getattr(self, name)):
                 raise ManifestError(
                     f"config field {name}={getattr(self, name)!r} "
-                    f"out of range (expected {_CONFIG_RANGES[name]})"
+                    f"out of range (expected {expected})"
                 )
 
     @classmethod
     def from_file(cls, path: Path | str,
                   overrides: dict | None = None) -> "PipelineConfig":
-        """Read `key = value` lines; '#' starts a comment; unknown keys error."""
+        """Read `key = value` lines; '#' starts a comment; unknown keys error.
+
+        Each value is parsed with the type of its field's default.
+        """
         path = Path(path)
-        known = {f.name for f in fields(cls)}
+        types = {f.name: type(f.default) for f in fields(cls)}
         raw: dict = {}
         line_of: dict = {}
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -130,16 +126,10 @@ class PipelineConfig:
                 )
             key, _, value = stripped.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in known:
+            if key not in types:
                 raise ManifestError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                if key in ("grid_n", "filter_order", "dp_max_slope",
-                           "mean_max_iter"):
-                    raw[key] = int(value)
-                elif key in ("cutoff_ratio", "mean_tol", "rolling_window_frac"):
-                    raw[key] = float(value)
-                else:
-                    raw[key] = value
+                raw[key] = types[key](value)
             except ValueError as exc:
                 raise ManifestError(f"{path}:{lineno}: field {key}: {exc}") from exc
             line_of[key] = lineno
@@ -160,8 +150,7 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
-    entries = []
-    seen = set()
+    entries, rownos = [], []
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"participant_id", "cohort", "trial_path"}
@@ -178,16 +167,16 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
                 raise ManifestError(
                     f"{path}:{rowno}: participant_id and trial_path are required"
                 )
+            if "/" in pid or "\\" in pid:
+                # the id names output files, so it must not be a path
+                raise ManifestError(
+                    f"{path}:{rowno}: participant_id {pid!r} contains a "
+                    f"path separator"
+                )
             if cohort not in COHORTS:
                 raise ManifestError(
                     f"{path}:{rowno}: cohort {cohort!r} not one of {COHORTS}"
                 )
-            key = (pid, trial)
-            if key in seen:
-                raise ManifestError(
-                    f"{path}:{rowno}: duplicate participant/trial pair {key}"
-                )
-            seen.add(key)
             brooke_raw = (row.get("brooke_score") or "").strip()
             dyn_raw = (row.get("dynamometry") or "").strip()
             try:
@@ -206,8 +195,25 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
             entries.append(ManifestEntry(pid, cohort,
                                          (path.parent / trial).resolve(),
                                          brooke, dyn))
+            rownos.append(rowno)
+    first_row: dict[str, int] = {}
+    for rowno, label in zip(rownos, _trial_labels(entries)):
+        if label in first_row:
+            raise ManifestError(
+                f"{path}:{rowno}: duplicate trial label {label!r} "
+                f"(first at row {first_row[label]})"
+            )
+        first_row[label] = rowno
     entries.sort(key=lambda e: (e.participant_id, e.trial_path.name))
     return entries
+
+
+def _trial_labels(entries: list[ManifestEntry]) -> list[str]:
+    """Each trial's name in the outputs: its participant_id, plus '#' and
+    the trial file's stem when the participant has several trials."""
+    per_pid = Counter(e.participant_id for e in entries)
+    return [e.participant_id if per_pid[e.participant_id] == 1
+            else f"{e.participant_id}#{e.trial_path.stem}" for e in entries]
 
 
 def _read_trial(path: Path, channel: str) -> RawRecording:
@@ -260,32 +266,34 @@ def ingest(manifest_path: Path | str, config: PipelineConfig,
     """Load, resample, and smooth every trial named by the manifest.
 
     A bad trial aborts the run with file/row context unless `skip_bad`,
-    in which case it is recorded in `skipped` instead.
+    in which case it is recorded in `skipped` instead. A trial whose
+    smoothed signal is flat (L2 norm below MIN_SIGNAL_NORM) is bad: no
+    cosine distance exists for it.
     """
     entries = load_manifest(manifest_path)
     if not entries:
         raise InsufficientDataError(f"{manifest_path}: manifest lists no trials")
-    per_pid: dict[str, int] = {}
-    for e in entries:
-        per_pid[e.participant_id] = per_pid.get(e.participant_id, 0) + 1
 
     items, skipped = [], []
-    for e in entries:
-        trial = e.trial_path.stem
-        label = (e.participant_id if per_pid[e.participant_id] == 1
-                 else f"{e.participant_id}#{trial}")
+    for e, label in zip(entries, _trial_labels(entries)):
         try:
             rec = _read_trial(e.trial_path, config.channel)
             traj = resample(rec, config.grid_n)
             traj = butterworth_lowpass(traj, config.filter_order,
                                        config.cutoff_ratio)
+            norm = l2_norm(traj.values, traj.grid)
+            if norm < MIN_SIGNAL_NORM:
+                raise ManifestError(
+                    f"{e.trial_path}: flat signal (L2 norm {norm:.3g} "
+                    f"< {MIN_SIGNAL_NORM:g})"
+                )
         except (ManifestError, ValueError) as exc:
             if not skip_bad:
                 raise
             skipped.append((label, str(exc)))
             continue
         meta = TrajectoryMeta(participant=e.participant_id, cohort=e.cohort,
-                              trial=trial)
+                              trial=e.trial_path.stem)
         items.append(IngestedTrial(e, label, traj.with_meta(meta)))
     return IngestResult(items, skipped)
 
@@ -345,15 +353,9 @@ class CohortReport:
         }
 
 
-def split_by_cohort(items: list[IngestedTrial]):
-    healthy = [it for it in items if it.entry.cohort == "healthy"]
-    patients = [it for it in items if it.entry.cohort != "healthy"]
-    return healthy, patients
-
-
 def build_healthy_mean(items: list[IngestedTrial],
                        config: PipelineConfig) -> RegistrationResult:
-    healthy, _ = split_by_cohort(items)
+    healthy = [it for it in items if it.entry.cohort == "healthy"]
     if len(healthy) < 2:
         raise DegenerateInputError(
             f"cannot build reference mean: need >= 2 healthy trials, "
@@ -477,12 +479,34 @@ def write_mean_csv(path: Path, mean: Trajectory) -> None:
               [[_fmt(t), _fmt(v)] for t, v in zip(mean.grid.points, mean.values)])
 
 
+def write_alignment_csvs(out_dir: Path, labels: list[str],
+                         alignment: RegistrationResult) -> None:
+    """aligned_curves.csv and warps.csv, one row per trial and grid point."""
+    pts = alignment.mean.grid.points
+    curve_rows, warp_rows = [], []
+    for label, aligned, warp in zip(labels, alignment.aligned, alignment.warps):
+        curve_rows += [[label, _fmt(t), _fmt(v)]
+                       for t, v in zip(pts, aligned.values)]
+        warp_rows += [[label, _fmt(t), _fmt(g)] for t, g in zip(pts, warp.gamma)]
+    write_csv(out_dir / "aligned_curves.csv", ["participant", "t", "value"],
+              curve_rows)
+    write_csv(out_dir / "warps.csv", ["participant", "t", "gamma"], warp_rows)
+
+
 def write_rolling_csv(path: Path, grid_points: np.ndarray, window: int,
                       values: np.ndarray) -> None:
     h = grid_points[1] - grid_points[0]
     centers = grid_points[: values.size] + 0.5 * (window - 1) * h
     write_csv(path, ["t_center", "correlation"],
               [[_fmt(t), _fmt(v)] for t, v in zip(centers, values)])
+
+
+def write_stats_json(path: Path, report: CohortReport) -> None:
+    """The report's summary as JSON; a NaN raises instead of writing NaN."""
+    with path.open("w") as fh:
+        json.dump(report.summary_dict(), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
+        fh.write("\n")
 
 
 def run_pipeline(manifest_path: Path | str, config: PipelineConfig,
@@ -544,7 +568,5 @@ def run_pipeline(manifest_path: Path | str, config: PipelineConfig,
     for label, values in report.rolling.items():
         write_rolling_csv(rolling_dir / f"{label}.csv", mean.grid.points,
                           window, values)
-    with (out / "stats.json").open("w") as fh:
-        json.dump(report.summary_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_stats_json(out / "stats.json", report)
     return report

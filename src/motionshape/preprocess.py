@@ -28,7 +28,6 @@ class RawRecording:
 
     timestamps: np.ndarray
     samples: np.ndarray
-    rate_hint: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.timestamps, dtype=float)

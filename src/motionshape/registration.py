@@ -39,11 +39,14 @@ __all__ = [
     "amplitude_distance",
     "phase_distance",
     "cosine_distance",
+    "warped_copy",
     "phase_amplitude_separation",
     "align_to_reference",
 ]
 
 DEFAULT_MAX_SLOPE = 7
+# signals with a smaller L2 norm have no direction, so no cosine distance
+MIN_SIGNAL_NORM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -207,23 +210,24 @@ def phase_distance(w: Warping) -> float:
     return float(np.arccos(np.clip(ip, -1.0, 1.0)))
 
 
-def _cosine_from_arrays(f: np.ndarray, g: np.ndarray, grid: TimeGrid) -> float:
-    nf = l2_norm(f, grid)
-    ng = l2_norm(g, grid)
-    if nf < 1e-12 or ng < 1e-12:
-        raise DegenerateInputError("cosine distance undefined for a zero signal")
-    return 1.0 - inner_product(f, g, grid) / (nf * ng)
-
-
 def cosine_distance(b1: Trajectory, b2: Trajectory) -> float:
-    """1 - normalized inner product; meant for already-aligned signals."""
+    """1 - normalized inner product; meant for already-aligned signals.
+
+    Undefined, and rejected, when either signal's L2 norm is below
+    MIN_SIGNAL_NORM.
+    """
     if b1.grid.n != b2.grid.n:
         raise DimensionError("trajectories live on different grids")
-    return _cosine_from_arrays(b1.values, b2.values, b1.grid)
+    n1 = l2_norm(b1.values, b1.grid)
+    n2 = l2_norm(b2.values, b1.grid)
+    if n1 < MIN_SIGNAL_NORM or n2 < MIN_SIGNAL_NORM:
+        raise DegenerateInputError("cosine distance undefined for a zero signal")
+    return 1.0 - inner_product(b1.values, b2.values, b1.grid) / (n1 * n2)
 
 
-def _compose_signal(traj: Trajectory, w: Warping) -> Trajectory:
-    values = np.interp(w.gamma, traj.grid.points, traj.values)
+def warped_copy(traj: Trajectory, warp: Warping) -> Trajectory:
+    """The signal composed with a warp: same shape, different timing."""
+    values = np.interp(warp.gamma, traj.grid.points, traj.values)
     return Trajectory(traj.grid, values, traj.meta)
 
 
@@ -301,7 +305,7 @@ def phase_amplitude_separation(curves: list[Trajectory], max_iter: int = 20,
     qbar_curve = group_action(qbar_curve, inv)
 
     mean = from_srvf(qbar_curve, beta0)
-    aligned = [_compose_signal(c, w) for c, w in zip(curves, warps)]
+    aligned = [warped_copy(c, w) for c, w in zip(curves, warps)]
     return RegistrationResult(mean, warps, aligned, iterations, converged)
 
 
@@ -313,5 +317,5 @@ def align_to_reference(curves: list[Trajectory], reference: Trajectory,
         raise DimensionError("reference grid differs from curve grid")
     q_ref = to_srvf(reference)
     warps = [optimal_warping(q_ref, to_srvf(c), max_slope) for c in curves]
-    aligned = [_compose_signal(c, w) for c, w in zip(curves, warps)]
+    aligned = [warped_copy(c, w) for c, w in zip(curves, warps)]
     return RegistrationResult(reference, warps, aligned, iterations=1, converged=True)

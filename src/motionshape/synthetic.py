@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import SrvfCurve, TimeGrid, Trajectory, Warping
+from .registration import warped_copy
 
 __all__ = [
     "bimodal_template",
@@ -62,12 +63,6 @@ def random_smooth_srvf(grid: TimeGrid, rng: np.random.Generator,
     q = sum(a[i] * np.sin(2 * np.pi * k[i] * t)
             + b[i] * np.cos(2 * np.pi * k[i] * t) for i in range(harmonics))
     return SrvfCurve(grid, q + rng.normal())
-
-
-def warped_copy(traj: Trajectory, warp: Warping) -> Trajectory:
-    """The signal composed with a warp: same shape, different timing."""
-    values = np.interp(warp.gamma, traj.grid.points, traj.values)
-    return Trajectory(traj.grid, values, traj.meta)
 
 
 def _degraded_values(t: np.ndarray, severity: float) -> np.ndarray:

@@ -1,12 +1,15 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from motionshape.core import DegenerateInputError, InsufficientDataError
+from motionshape import pipeline
 from motionshape.cli import main
 from motionshape.pipeline import (
+    IngestResult,
     ManifestError,
     PipelineConfig,
     ingest,
@@ -16,6 +19,10 @@ from motionshape.pipeline import (
 from motionshape.synthetic import write_cohort
 
 FAST = dict(grid_n=61, mean_max_iter=10)
+# a valid, non-default value for every PipelineConfig field
+NON_DEFAULT = dict(grid_n=61, filter_order=2, cutoff_ratio=0.2, channel="acc",
+                   dp_max_slope=3, mean_max_iter=5, mean_tol=0.001,
+                   rolling_window_frac=0.25)
 
 
 @pytest.fixture
@@ -37,6 +44,23 @@ def write_manifest(path, entries):
         w.writerow(["participant_id", "cohort", "trial_path",
                     "brooke_score", "dynamometry"])
         w.writerows(entries)
+
+
+def extend_manifest(manifest, name, rows):
+    """Copy of `manifest` next to it, with `rows` (dicts) appended."""
+    with manifest.open(newline="") as fh:
+        entries = list(csv.DictReader(fh)) + rows
+    out = manifest.parent / name
+    with out.open("w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(entries[0]))
+        w.writeheader()
+        w.writerows(entries)
+    return out
+
+
+def trial_row(pid, trial_path):
+    return {"participant_id": pid, "cohort": "DMD", "trial_path": trial_path,
+            "brooke_score": "", "dynamometry": ""}
 
 
 class TestConfig:
@@ -84,6 +108,31 @@ class TestConfig:
         cfg = PipelineConfig.from_file(f, {"grid_n": 81})
         assert cfg.grid_n == 81
 
+    def test_every_field_round_trips_through_file(self, tmp_path):
+        assert set(NON_DEFAULT) == {f.name for f in fields(PipelineConfig)}
+        f = tmp_path / "cfg.txt"
+        f.write_text("".join(f"{k} = {v}\n" for k, v in NON_DEFAULT.items()))
+        cfg = PipelineConfig.from_file(f)
+        assert cfg == PipelineConfig(**NON_DEFAULT)
+        for k, v in NON_DEFAULT.items():
+            assert type(getattr(cfg, k)) is type(v), k
+
+    def test_every_field_round_trips_through_cli(self, monkeypatch):
+        seen = []
+
+        def fake_ingest(manifest, config, skip_bad=False):
+            seen.append(config)
+            return IngestResult([], [])
+
+        monkeypatch.setattr(pipeline, "ingest", fake_ingest)
+        argv = ["ingest-check", "--manifest", "m.csv"]
+        for k, v in NON_DEFAULT.items():
+            argv += ["--" + k.replace("_", "-"), str(v)]
+        assert main(argv) == 0
+        assert seen == [PipelineConfig(**NON_DEFAULT)]
+        for k, v in NON_DEFAULT.items():
+            assert type(getattr(seen[0], k)) is type(v), k
+
 
 class TestManifest:
     def test_load_and_sort(self, cohort_dir):
@@ -104,6 +153,21 @@ class TestManifest:
         write_manifest(m, [["P1", "healthy", "x.csv", "", ""],
                            ["P1", "healthy", "x.csv", "", ""]])
         with pytest.raises(ManifestError, match="duplicate"):
+            load_manifest(m)
+
+    def test_duplicate_label(self, tmp_path):
+        # different files, but both trials would be labelled X1#t
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["X1", "healthy", "a/t.csv", "", ""],
+                           ["X1", "healthy", "b/t.csv", "", ""]])
+        with pytest.raises(ManifestError, match=r"m\.csv:3: duplicate.*X1#t"):
+            load_manifest(m)
+
+    @pytest.mark.parametrize("pid", ["../../escaped", "a/b", "a\\b"])
+    def test_participant_id_with_path_separator(self, tmp_path, pid):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [[pid, "healthy", "x.csv", "", ""]])
+        with pytest.raises(ManifestError, match=r"m\.csv:2.*participant_id"):
             load_manifest(m)
 
     def test_brooke_out_of_range(self, tmp_path):
@@ -166,6 +230,14 @@ class TestIngest:
         with pytest.raises(ManifestError, match="fewer than 8"):
             ingest(m, PipelineConfig())
 
+    def test_flat_trial_rejected(self, tmp_path):
+        t = np.linspace(0, 2, 40)
+        write_trial(tmp_path / "a.csv", zip(t, np.zeros_like(t)))
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "healthy", "a.csv", "", ""]])
+        with pytest.raises(ManifestError, match=r"a\.csv: flat signal"):
+            ingest(m, PipelineConfig())
+
     def test_skip_bad_collects_instead(self, tmp_path):
         t = np.linspace(0, 2, 40)
         write_trial(tmp_path / "good.csv", zip(t, np.sin(t)))
@@ -209,15 +281,8 @@ class TestRunPipeline:
                                 "phase", "cosine"}
 
     def test_skip_bad_counted_in_stats(self, cohort_dir, tmp_path):
-        entries = list(csv.DictReader(cohort_dir.open()))
-        entries.append({"participant_id": "PX", "cohort": "DMD",
-                        "trial_path": "ghost.csv", "brooke_score": "",
-                        "dynamometry": ""})
-        m = cohort_dir.parent / "with_bad.csv"
-        with m.open("w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(entries[0]))
-            w.writeheader()
-            w.writerows(entries)
+        m = extend_manifest(cohort_dir, "with_bad.csv",
+                            [trial_row("PX", "ghost.csv")])
         out = tmp_path / "out"
         report = run_pipeline(m, PipelineConfig(**FAST), out, skip_bad=True)
         stats = json.loads((out / "stats.json").read_text())
@@ -237,6 +302,7 @@ class TestCli:
 
     def test_stage_subcommands(self, cohort_dir, tmp_path):
         args = ["--manifest", str(cohort_dir), "--grid-n", "61"]
+        assert main(["report"] + args + ["--out", str(tmp_path / "r")]) == 0
         assert main(["ingest-check"] + args) == 0
         assert main(["mean"] + args + ["--out", str(tmp_path / "m")]) == 0
         assert (tmp_path / "m" / "mean_healthy.csv").is_file()
@@ -249,6 +315,17 @@ class TestCli:
         stats = json.loads((tmp_path / "s" / "stats.json").read_text())
         assert "t_tests" in stats and "regressions" in stats
 
+        # each stage writes what the full report writes for it
+        report = tmp_path / "r"
+        for stage, name in (("d", "distances.csv"), ("m", "mean_healthy.csv"),
+                            ("a", "mean_healthy.csv")):
+            assert (tmp_path / stage / name).read_bytes() == \
+                (report / name).read_bytes(), (stage, name)
+        full = json.loads((report / "stats.json").read_text())
+        for only_in_report in ("matrix_summary", "rolling_window"):
+            del stats[only_in_report], full[only_in_report]
+        assert stats == full
+
     def test_error_exit_code(self, cohort_dir, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("nope = 1\n")
@@ -256,6 +333,29 @@ class TestCli:
                    "--config", str(bad), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "nope" in capsys.readouterr().err
+
+    def test_path_escape_refused(self, cohort_dir, tmp_path):
+        m = extend_manifest(cohort_dir, "escape.csv",
+                            [trial_row("../../escaped", "patient_00.csv")])
+        out = tmp_path / "run" / "out"
+        rc = main(["report", "--manifest", str(m), "--out", str(out),
+                   "--skip-bad", "--grid-n", "61", "--mean-max-iter", "10"])
+        assert rc == 2
+        assert not list(tmp_path.rglob("escaped*"))
+
+    def test_flat_trial_skipped(self, cohort_dir, tmp_path):
+        write_trial(cohort_dir.parent / "flat.csv",
+                    [(i / 50, 0.0) for i in range(100)])
+        m = extend_manifest(cohort_dir, "with_flat.csv",
+                            [trial_row("PF", "flat.csv")])
+        out = tmp_path / "r"
+        rc = main(["report", "--manifest", str(m), "--out", str(out),
+                   "--skip-bad", "--grid-n", "61", "--mean-max-iter", "10"])
+        assert rc == 0
+        stats = json.loads((out / "stats.json").read_text())
+        assert [s["label"] for s in stats["skipped"]] == ["PF"]
+        assert "flat signal" in stats["skipped"][0]["reason"]
+        assert len(stats["distances"]) == 5
 
     def test_config_file_used(self, cohort_dir, tmp_path):
         cfg = tmp_path / "cfg.txt"
