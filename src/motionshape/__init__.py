@@ -15,7 +15,6 @@ from .core import (
     SrvfCurve,
     TimeGrid,
     Trajectory,
-    TrajectoryMeta,
     Warping,
     inner_product,
     interp_linear,

@@ -245,16 +245,6 @@ def rolling_correlation(a: Trajectory, b: Trajectory, window: int) -> np.ndarray
 # Pairwise distance matrices
 # ---------------------------------------------------------------------------
 
-def _curve_labels(curves: list[Trajectory]) -> list[str]:
-    labels = []
-    for i, c in enumerate(curves):
-        if c.meta is not None and c.meta.participant:
-            labels.append(c.meta.participant)
-        else:
-            labels.append(str(i))
-    return labels
-
-
 def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
                     max_slope: int = DEFAULT_MAX_SLOPE,
                     labels: list[str] | None = None) -> DistanceMatrix:
@@ -262,7 +252,8 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
 
     With `registered`, curve j is warped onto curve i before the metric is
     evaluated; the slightly asymmetric result is symmetrized as (D + D^T)/2.
-    The phase metric only exists for registered pairs.
+    The phase metric only exists for registered pairs. Rows and columns
+    are named by `labels`, or "0".."m-1" when none are given.
     """
     if metric not in METRICS:
         raise ParameterError(f"unknown metric {metric!r}; pick one of {METRICS}")
@@ -273,10 +264,9 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
     grid = curves[0].grid
     if any(c.grid.n != grid.n for c in curves):
         raise DimensionError("curves live on different grids")
-    if labels is None:
-        labels = _curve_labels(curves)
-
     m = len(curves)
+    if labels is None:
+        labels = [str(i) for i in range(m)]
     qs = [to_srvf(c) for c in curves]
     d = np.zeros((m, m))
     for i in range(m):

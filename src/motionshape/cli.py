@@ -1,6 +1,7 @@
 """Command-line front-end.
 
-Subcommands mirror the pipeline stages so each can be exercised alone:
+Each subcommand runs `pipeline.stages` up to the stage it needs, then
+writes that stage's files:
 
     ingest-check   parse + preprocess every trial, report problems
     mean           elastic mean of the healthy cohort -> mean_healthy.csv
@@ -46,85 +47,56 @@ def _config(args: argparse.Namespace) -> pl.PipelineConfig:
     return pl.PipelineConfig(**overrides)
 
 
-def _prepare(args, config):
-    ingested = pl.ingest(args.manifest, config, skip_bad=args.skip_bad)
-    separation = pl.build_healthy_mean(ingested.items, config)
-    return ingested, separation
+# Each handler gets the chain's record after its subcommand's last stage,
+# writes its files into `out` and returns what to print.
+
+def _ingest_check(run: pl.Run, out) -> str:
+    ingested = run.ingested
+    lines = [f"ok      {it.label}  ({it.entry.cohort}, n={it.trajectory.grid.n})"
+             for it in ingested.items]
+    lines += [f"skipped {label}: {reason}" for label, reason in ingested.skipped]
+    lines.append(f"{len(ingested.items)} trial(s) ok, "
+                 f"{len(ingested.skipped)} skipped")
+    return "\n".join(lines)
 
 
-def _cmd_ingest_check(args, config) -> int:
-    ingested = pl.ingest(args.manifest, config, skip_bad=args.skip_bad)
-    for it in ingested.items:
-        print(f"ok      {it.label}  ({it.entry.cohort}, n={config.grid_n})")
-    for label, reason in ingested.skipped:
-        print(f"skipped {label}: {reason}")
-    print(f"{len(ingested.items)} trial(s) ok, {len(ingested.skipped)} skipped")
-    return 0
+def _mean(run: pl.Run, out: Path) -> str:
+    pl.write_mean_csv(out / "mean_healthy.csv", run.separation.mean)
+    return (f"elastic mean written; iterations={run.separation.iterations} "
+            f"converged={run.separation.converged}")
 
 
-def _cmd_mean(args, config) -> int:
-    _, separation = _prepare(args, config)
-    pl.write_mean_csv(args.out / "mean_healthy.csv", separation.mean)
-    print(f"elastic mean written; iterations={separation.iterations} "
-          f"converged={separation.converged}")
-    return 0
+def _align(run: pl.Run, out: Path) -> str:
+    pl.write_alignment_csvs(out, [it.label for it in run.ingested.items],
+                            run.alignment)
+    pl.write_mean_csv(out / "mean_healthy.csv", run.separation.mean)
+    return f"aligned {len(run.ingested.items)} trial(s) to the healthy mean"
 
 
-def _cmd_align(args, config) -> int:
-    ingested, separation = _prepare(args, config)
-    _, alignment = pl.score_against_mean(ingested.items, separation.mean, config)
-    pl.write_alignment_csvs(args.out, [it.label for it in ingested.items],
-                            alignment)
-    pl.write_mean_csv(args.out / "mean_healthy.csv", separation.mean)
-    print(f"aligned {len(ingested.items)} trial(s) to the healthy mean")
-    return 0
+def _distances(run: pl.Run, out: Path) -> str:
+    pl.write_distances_csv(out / "distances.csv", run.scores)
+    return f"wrote {len(run.scores)} distance triple(s)"
 
 
-def _cmd_distances(args, config) -> int:
-    ingested, separation = _prepare(args, config)
-    scores, _ = pl.score_against_mean(ingested.items, separation.mean, config)
-    pl.write_distances_csv(args.out / "distances.csv", scores)
-    print(f"wrote {len(scores)} distance triple(s)")
-    return 0
+def _stats(run: pl.Run, out: Path) -> str:
+    pl.write_stats_json(out / "stats.json", run.report)
+    return "wrote stats.json"
 
 
-def _cmd_stats(args, config) -> int:
-    ingested, separation = _prepare(args, config)
-    scores, _ = pl.score_against_mean(ingested.items, separation.mean, config)
-    report = pl.CohortReport(
-        scores=scores,
-        t_tests=pl.cohort_t_tests(scores),
-        regressions=pl.cohort_regressions(scores),
-        matrix_pre=None,
-        matrix_post=None,
-        matrix_summary={"pre": None, "post": None},
-        mean=separation.mean,
-        separation=separation,
-        rolling={},
-        rolling_window=0,
-        skipped=ingested.skipped,
-    )
-    pl.write_stats_json(args.out / "stats.json", report)
-    print("wrote stats.json")
-    return 0
+def _report(run: pl.Run, out: Path) -> str:
+    pl.write_report(out, run.report)
+    return (f"report complete: {len(run.report.scores)} trial(s), "
+            f"{len(run.report.skipped)} skipped, outputs in {out}")
 
 
-def _cmd_report(args, config) -> int:
-    report = pl.run_pipeline(args.manifest, config, args.out,
-                             skip_bad=args.skip_bad)
-    n = len(report.scores)
-    print(f"report complete: {n} trial(s), "
-          f"{len(report.skipped)} skipped, outputs in {args.out}")
-    return 0
-
-
+# subcommand -> (last stage of pipeline.stages it runs, handler)
 _COMMANDS = {
-    "ingest-check": (_cmd_ingest_check, False),
-    "mean": (_cmd_mean, True),
-    "align": (_cmd_align, True),
-    "distances": (_cmd_distances, True),
-    "stats": (_cmd_stats, True),
-    "report": (_cmd_report, True),
+    "ingest-check": ("ingest", _ingest_check),
+    "mean": ("mean", _mean),
+    "align": ("score", _align),
+    "distances": ("score", _distances),
+    "stats": ("stats", _stats),
+    "report": ("report", _report),
 }
 
 
@@ -134,23 +106,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Elastic shape analysis of motion trajectories",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_out) in _COMMANDS.items():
+    for name, (last, _) in _COMMANDS.items():
         p = sub.add_parser(name)
-        _add_common(p, needs_out)
+        _add_common(p, needs_out=last != "ingest")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, needs_out = _COMMANDS[args.command]
+    last, handler = _COMMANDS[args.command]
+    out = getattr(args, "out", None)
     try:
         config = _config(args)
-        if needs_out:
-            args.out.mkdir(parents=True, exist_ok=True)
-        return handler(args, config)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        run = next(run for stage, run in pl.stages(args.manifest, config,
+                                                   args.skip_bad)
+                   if stage == last)
+        print(handler(run, out))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ __all__ = [
     "InsufficientDataError",
     "DegenerateInputError",
     "TimeGrid",
-    "TrajectoryMeta",
     "Trajectory",
     "SrvfCurve",
     "Warping",
@@ -77,19 +76,11 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class TrajectoryMeta:
-    participant: str | None = None
-    cohort: str | None = None
-    trial: str | None = None
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Scalar signal sampled on a TimeGrid (e.g. angular velocity)."""
 
     grid: TimeGrid
     values: np.ndarray
-    meta: TrajectoryMeta | None = None
 
     def __post_init__(self):
         v = _frozen(self.values)
@@ -100,9 +91,6 @@ class Trajectory:
         if not np.all(np.isfinite(v)):
             raise DegenerateInputError("trajectory contains non-finite values")
         object.__setattr__(self, "values", v)
-
-    def with_meta(self, meta: TrajectoryMeta) -> "Trajectory":
-        return Trajectory(self.grid, self.values, meta)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Batch pipeline: manifest + config in, scored cohort report out.
 
-One run reproduces the whole analysis chain: ingest raw trial CSVs, build
-the elastic mean of the healthy cohort, align everyone to it, score the
-three distances, and emit plot-ready tables plus a JSON summary. Outputs
-are deterministic: same inputs and config give byte-identical files.
+`stages` is the whole analysis chain: ingest raw trial CSVs, build the
+elastic mean of the healthy cohort, align everyone to it, score the three
+distances, then add statistics, distance matrices and rolling correlations.
+Outputs are deterministic: same inputs and config give byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +29,9 @@ from .core import (
     DistanceTriple,
     InsufficientDataError,
     Trajectory,
-    TrajectoryMeta,
     l2_norm,
 )
-from .preprocess import RawRecording, butterworth_lowpass, resample
+from .preprocess import RawRecording, butterworth_lowpass, derivative, resample
 from .registration import (
     MIN_SIGNAL_NORM,
     RegistrationResult,
@@ -54,10 +53,16 @@ __all__ = [
     "IngestResult",
     "IngestedTrial",
     "CohortReport",
+    "Run",
+    "stages",
+    "write_report",
     "run_pipeline",
 ]
 
 COHORTS = ("healthy", "DMD", "SMA")
+# a smoothed signal whose derivative's L2 norm is at most this share of its
+# own is constant up to round-off, and round-off would pick its warp
+MIN_VARIATION_RATIO = 1e-9
 
 
 class ManifestError(ValueError):
@@ -268,7 +273,9 @@ def ingest(manifest_path: Path | str, config: PipelineConfig,
     A bad trial aborts the run with file/row context unless `skip_bad`,
     in which case it is recorded in `skipped` instead. A trial whose
     smoothed signal is flat (L2 norm below MIN_SIGNAL_NORM) is bad: no
-    cosine distance exists for it.
+    cosine distance exists for it. So is a constant one (derivative L2 norm
+    at most MIN_VARIATION_RATIO times the signal's): it has no shape to
+    align.
     """
     entries = load_manifest(manifest_path)
     if not entries:
@@ -287,14 +294,19 @@ def ingest(manifest_path: Path | str, config: PipelineConfig,
                     f"{e.trial_path}: flat signal (L2 norm {norm:.3g} "
                     f"< {MIN_SIGNAL_NORM:g})"
                 )
+            slope = l2_norm(derivative(traj).values, traj.grid)
+            if slope <= MIN_VARIATION_RATIO * norm:
+                raise ManifestError(
+                    f"{e.trial_path}: constant signal (derivative L2 norm "
+                    f"{slope:.3g} <= {MIN_VARIATION_RATIO:g} x L2 norm "
+                    f"{norm:.3g})"
+                )
         except (ManifestError, ValueError) as exc:
             if not skip_bad:
                 raise
             skipped.append((label, str(exc)))
             continue
-        meta = TrajectoryMeta(participant=e.participant_id, cohort=e.cohort,
-                              trial=e.trial_path.stem)
-        items.append(IngestedTrial(e, label, traj.with_meta(meta)))
+        items.append(IngestedTrial(e, label, traj))
     return IngestResult(items, skipped)
 
 
@@ -313,17 +325,21 @@ class ParticipantScore:
 
 @dataclass(frozen=True)
 class CohortReport:
+    """Scores and cohort statistics; the "stats" stage leaves the matrix
+    and rolling fields at their defaults."""
+
     scores: list[ParticipantScore]
     t_tests: dict
     regressions: dict
-    matrix_pre: DistanceMatrix | None
-    matrix_post: DistanceMatrix | None
-    matrix_summary: dict
     mean: Trajectory
     separation: RegistrationResult
-    rolling: dict[str, np.ndarray]
-    rolling_window: int
     skipped: list[tuple[str, str]]
+    matrix_pre: DistanceMatrix | None = None
+    matrix_post: DistanceMatrix | None = None
+    matrix_summary: dict = field(
+        default_factory=lambda: {"pre": None, "post": None})
+    rolling: dict[str, np.ndarray] = field(default_factory=dict)
+    rolling_window: int = 0
 
     def summary_dict(self) -> dict:
         return {
@@ -447,6 +463,70 @@ def block_summary(matrix: DistanceMatrix, cohorts: list[str]) -> dict | None:
     }
 
 
+@dataclass(frozen=True)
+class Run:
+    """What the stage chain has made so far; later stages' fields are None."""
+
+    ingested: IngestResult
+    separation: RegistrationResult | None = None
+    alignment: RegistrationResult | None = None
+    scores: list[ParticipantScore] | None = None
+    report: CohortReport | None = None
+
+
+def stages(manifest_path: Path | str, config: PipelineConfig,
+           skip_bad: bool = False):
+    """The analysis chain, one stage at a time.
+
+    Yields (name, run) after each of "ingest", "mean", "score", "stats" and
+    "report", where `run` holds what the chain has made so far. A caller
+    that stops iterating never runs the later stages.
+    """
+    ingested = ingest(manifest_path, config, skip_bad=skip_bad)
+    yield "ingest", Run(ingested)
+    items = ingested.items
+    if not items:
+        raise InsufficientDataError("every trial was skipped; nothing to analyze")
+
+    separation = build_healthy_mean(items, config)
+    mean = separation.mean
+    yield "mean", Run(ingested, separation)
+
+    scores, alignment = score_against_mean(items, mean, config)
+    run = Run(ingested, separation, alignment, scores)
+    yield "score", run
+
+    report = CohortReport(
+        scores=scores,
+        t_tests=cohort_t_tests(scores),
+        regressions=cohort_regressions(scores),
+        mean=mean,
+        separation=separation,
+        skipped=ingested.skipped,
+    )
+    yield "stats", replace(run, report=report)
+
+    curves = [it.trajectory for it in items]
+    labels = [it.label for it in items]
+    cohorts = [it.entry.cohort for it in items]
+    matrix_pre = pairwise_matrix(curves, "cosine", registered=False,
+                                 labels=labels)
+    matrix_post = pairwise_matrix(curves, "cosine", registered=True,
+                                  max_slope=config.dp_max_slope, labels=labels)
+    window = max(3, int(round(config.rolling_window_frac * config.grid_n)))
+    report = replace(
+        report,
+        matrix_pre=matrix_pre,
+        matrix_post=matrix_post,
+        matrix_summary={"pre": block_summary(matrix_pre, cohorts),
+                        "post": block_summary(matrix_post, cohorts)},
+        rolling={it.label: rolling_correlation(aligned, mean, window)
+                 for it, aligned in zip(items, alignment.aligned)},
+        rolling_window=window,
+    )
+    yield "report", replace(run, report=report)
+
+
 # ---------------------------------------------------------------------------
 # Writers (9 significant digits everywhere, NaN spelled "nan")
 # ---------------------------------------------------------------------------
@@ -509,64 +589,29 @@ def write_stats_json(path: Path, report: CohortReport) -> None:
         fh.write("\n")
 
 
-def run_pipeline(manifest_path: Path | str, config: PipelineConfig,
-                 out_dir: Path | str, skip_bad: bool = False) -> CohortReport:
-    """Execute the full analysis and write every report artifact.
+def write_report(out_dir: Path | str, report: CohortReport) -> None:
+    """Write every report artifact of a full run into `out_dir`.
 
-    Outputs in `out_dir`: distances.csv, matrix_pre.csv, matrix_post.csv,
-    stats.json, mean_healthy.csv, and rolling/<label>.csv per trial.
+    Outputs: distances.csv, matrix_pre.csv, matrix_post.csv, stats.json,
+    mean_healthy.csv, and rolling/<label>.csv per trial.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ingested = ingest(manifest_path, config, skip_bad=skip_bad)
-    items = ingested.items
-    if not items:
-        raise InsufficientDataError("every trial was skipped; nothing to analyze")
-
-    separation = build_healthy_mean(items, config)
-    mean = separation.mean
-    scores, alignment = score_against_mean(items, mean, config)
-
-    curves = [it.trajectory for it in items]
-    labels = [it.label for it in items]
-    cohorts = [it.entry.cohort for it in items]
-    matrix_pre = pairwise_matrix(curves, "cosine", registered=False,
-                                 labels=labels)
-    matrix_post = pairwise_matrix(curves, "cosine", registered=True,
-                                  max_slope=config.dp_max_slope, labels=labels)
-    matrix_summary = {
-        "pre": block_summary(matrix_pre, cohorts),
-        "post": block_summary(matrix_post, cohorts),
-    }
-
-    window = max(3, int(round(config.rolling_window_frac * config.grid_n)))
-    rolling = {
-        it.label: rolling_correlation(aligned, mean, window)
-        for it, aligned in zip(items, alignment.aligned)
-    }
-
-    report = CohortReport(
-        scores=scores,
-        t_tests=cohort_t_tests(scores),
-        regressions=cohort_regressions(scores),
-        matrix_pre=matrix_pre,
-        matrix_post=matrix_post,
-        matrix_summary=matrix_summary,
-        mean=mean,
-        separation=separation,
-        rolling=rolling,
-        rolling_window=window,
-        skipped=ingested.skipped,
-    )
-
-    write_distances_csv(out / "distances.csv", scores)
-    write_matrix_csv(out / "matrix_pre.csv", matrix_pre)
-    write_matrix_csv(out / "matrix_post.csv", matrix_post)
-    write_mean_csv(out / "mean_healthy.csv", mean)
+    write_distances_csv(out / "distances.csv", report.scores)
+    write_matrix_csv(out / "matrix_pre.csv", report.matrix_pre)
+    write_matrix_csv(out / "matrix_post.csv", report.matrix_post)
+    write_mean_csv(out / "mean_healthy.csv", report.mean)
     rolling_dir = out / "rolling"
     rolling_dir.mkdir(exist_ok=True)
     for label, values in report.rolling.items():
-        write_rolling_csv(rolling_dir / f"{label}.csv", mean.grid.points,
-                          window, values)
+        write_rolling_csv(rolling_dir / f"{label}.csv", report.mean.grid.points,
+                          report.rolling_window, values)
     write_stats_json(out / "stats.json", report)
-    return report
+
+
+def run_pipeline(manifest_path: Path | str, config: PipelineConfig,
+                 out_dir: Path | str, skip_bad: bool = False) -> CohortReport:
+    """Run the whole chain and write its report into `out_dir`."""
+    _, run = list(stages(manifest_path, config, skip_bad))[-1]
+    write_report(out_dir, run.report)
+    return run.report

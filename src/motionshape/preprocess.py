@@ -87,7 +87,7 @@ def butterworth_lowpass(traj: Trajectory, order: int = 3,
         )
     b, a = signal.butter(order, cutoff_ratio)
     smoothed = signal.filtfilt(b, a, traj.values, padtype="even", padlen=padlen)
-    return Trajectory(traj.grid, smoothed, traj.meta)
+    return Trajectory(traj.grid, smoothed)
 
 
 def derivative(traj: Trajectory) -> Trajectory:
@@ -97,4 +97,4 @@ def derivative(traj: Trajectory) -> Trajectory:
     (exact for quadratics).
     """
     d = np.gradient(traj.values, traj.grid.spacing, edge_order=2)
-    return Trajectory(traj.grid, d, traj.meta)
+    return Trajectory(traj.grid, d)

@@ -228,7 +228,7 @@ def cosine_distance(b1: Trajectory, b2: Trajectory) -> float:
 def warped_copy(traj: Trajectory, warp: Warping) -> Trajectory:
     """The signal composed with a warp: same shape, different timing."""
     values = np.interp(warp.gamma, traj.grid.points, traj.values)
-    return Trajectory(traj.grid, values, traj.meta)
+    return Trajectory(traj.grid, values)
 
 
 def _common_grid(curves: list[Trajectory]) -> TimeGrid:

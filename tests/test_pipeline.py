@@ -58,6 +58,15 @@ def extend_manifest(manifest, name, rows):
     return out
 
 
+def all_bad_manifest(tmp_path):
+    """A manifest of three trials whose files do not exist."""
+    m = tmp_path / "m.csv"
+    write_manifest(m, [["P1", "healthy", "ghost1.csv", "", ""],
+                       ["P2", "healthy", "ghost2.csv", "", ""],
+                       ["P3", "DMD", "ghost3.csv", "", ""]])
+    return m
+
+
 def trial_row(pid, trial_path):
     return {"participant_id": pid, "cohort": "DMD", "trial_path": trial_path,
             "brooke_score": "", "dynamometry": ""}
@@ -197,7 +206,7 @@ class TestIngest:
         write_manifest(m, [["P7", "healthy", "a.csv", "", ""]])
         result = ingest(m, PipelineConfig(grid_n=31))
         assert len(result.trajectories) == 1
-        assert result.items[0].trajectory.meta.participant == "P7"
+        assert result.items[0].entry.participant_id == "P7"
 
     def test_shuffled_rows_name_offender(self, tmp_path):
         t = np.linspace(0, 2, 40)
@@ -236,6 +245,15 @@ class TestIngest:
         m = tmp_path / "m.csv"
         write_manifest(m, [["P1", "healthy", "a.csv", "", ""]])
         with pytest.raises(ManifestError, match=r"a\.csv: flat signal"):
+            ingest(m, PipelineConfig())
+
+    @pytest.mark.parametrize("value", [5.0, 0.001, 123.456, -7.0])
+    def test_constant_trial_rejected(self, tmp_path, value):
+        t = np.linspace(0, 2, 40)
+        write_trial(tmp_path / "a.csv", zip(t, np.full_like(t, value)))
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "healthy", "a.csv", "", ""]])
+        with pytest.raises(ManifestError, match=r"a\.csv: constant signal"):
             ingest(m, PipelineConfig())
 
     def test_skip_bad_collects_instead(self, tmp_path):
@@ -356,6 +374,46 @@ class TestCli:
         assert [s["label"] for s in stats["skipped"]] == ["PF"]
         assert "flat signal" in stats["skipped"][0]["reason"]
         assert len(stats["distances"]) == 5
+
+    def test_constant_trial_skipped(self, cohort_dir, tmp_path):
+        write_trial(cohort_dir.parent / "constant.csv",
+                    [(i / 50, 5.0) for i in range(100)])
+        m = extend_manifest(cohort_dir, "with_constant.csv",
+                            [trial_row("PC", "constant.csv")])
+        out = tmp_path / "r"
+        rc = main(["report", "--manifest", str(m), "--out", str(out),
+                   "--skip-bad", "--grid-n", "61", "--mean-max-iter", "10"])
+        assert rc == 0
+        stats = json.loads((out / "stats.json").read_text())
+        assert [s["label"] for s in stats["skipped"]] == ["PC"]
+        assert "constant signal" in stats["skipped"][0]["reason"]
+        assert len(stats["distances"]) == 5
+
+    def test_stages_stop_before_matrices(self, cohort_dir, tmp_path,
+                                         monkeypatch):
+        def no_matrices(*args, **kwargs):
+            raise RuntimeError("pairwise_matrix called")
+
+        monkeypatch.setattr(pipeline, "pairwise_matrix", no_matrices)
+        args = ["--manifest", str(cohort_dir), "--grid-n", "61"]
+        for command in ("mean", "align", "distances", "stats"):
+            out = tmp_path / command
+            assert main([command] + args + ["--out", str(out)]) == 0, command
+        with pytest.raises(RuntimeError, match="pairwise_matrix called"):
+            main(["report"] + args + ["--out", str(tmp_path / "r")])
+
+    def test_ingest_check_every_trial_bad(self, tmp_path, capsys):
+        m = all_bad_manifest(tmp_path)
+        assert main(["ingest-check", "--manifest", str(m), "--skip-bad"]) == 0
+        assert capsys.readouterr().out.endswith("0 trial(s) ok, 3 skipped\n")
+
+    def test_mean_every_trial_skipped(self, tmp_path, capsys):
+        m = all_bad_manifest(tmp_path)
+        rc = main(["mean", "--manifest", str(m), "--skip-bad",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: every trial was skipped; nothing to analyze\n"
 
     def test_config_file_used(self, cohort_dir, tmp_path):
         cfg = tmp_path / "cfg.txt"
