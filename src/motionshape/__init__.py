@@ -16,6 +16,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     Warping,
+    common_grid,
     inner_product,
     interp_linear,
     l2_norm,

@@ -20,6 +20,7 @@ from .core import (
     InsufficientDataError,
     ParameterError,
     Trajectory,
+    common_grid,
     l2_norm,
 )
 from .registration import (
@@ -224,9 +225,7 @@ def rolling_correlation(a: Trajectory, b: Trajectory, window: int) -> np.ndarray
     Returns one value per window position; windows where either side has
     zero variance come back as NaN so positions stay aligned.
     """
-    if a.grid.n != b.grid.n:
-        raise DimensionError("trajectories live on different grids")
-    n = a.grid.n
+    n = common_grid([a, b]).n
     if not (3 <= window <= n):
         raise ParameterError(f"window must be in [3, {n}], got {window}")
     wa = np.lib.stride_tricks.sliding_window_view(a.values, window)
@@ -261,9 +260,7 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
         raise ParameterError("phase distances require registered=True")
     if len(curves) < 2:
         raise InsufficientDataError("need at least 2 curves")
-    grid = curves[0].grid
-    if any(c.grid.n != grid.n for c in curves):
-        raise DimensionError("curves live on different grids")
+    grid = common_grid(curves)
     m = len(curves)
     if labels is None:
         labels = [str(i) for i in range(m)]
@@ -287,6 +284,5 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
             else:
                 d[i, j] = cosine_distance(curves[i], warped_copy(curves[j], w))
     d = 0.5 * (d + d.T)
-    np.fill_diagonal(d, 0.0)
     d[d < 0] = 0.0  # cosine can round to -1e-17 on near-identical pairs
     return DistanceMatrix(labels, d)

@@ -22,6 +22,7 @@ __all__ = [
     "SrvfCurve",
     "Warping",
     "DistanceTriple",
+    "common_grid",
     "inner_product",
     "l2_norm",
     "interp_linear",
@@ -56,6 +57,16 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
+def _sampled(values, grid: TimeGrid, what: str) -> np.ndarray:
+    """`values` as a frozen 1-d finite array with one value per grid point."""
+    v = _frozen(values)
+    if v.ndim != 1 or v.size != grid.n:
+        raise DimensionError(f"expected {grid.n} values, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise DegenerateInputError(f"{what} contains non-finite values")
+    return v
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid of `n` points spanning [0, 1] inclusive."""
@@ -83,14 +94,8 @@ class Trajectory:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen(self.values)
-        if v.ndim != 1 or v.size != self.grid.n:
-            raise DimensionError(
-                f"expected {self.grid.n} values, got shape {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise DegenerateInputError("trajectory contains non-finite values")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values",
+                           _sampled(self.values, self.grid, "trajectory"))
 
 
 @dataclass(frozen=True)
@@ -101,12 +106,7 @@ class SrvfCurve:
     q: np.ndarray
 
     def __post_init__(self):
-        q = _frozen(self.q)
-        if q.ndim != 1 or q.size != self.grid.n:
-            raise DimensionError(f"expected {self.grid.n} values, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
-            raise DegenerateInputError("SRVF contains non-finite values")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _sampled(self.q, self.grid, "SRVF"))
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,7 @@ class Warping:
     gamma: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.gamma, dtype=float)
-        if g.ndim != 1 or g.size != self.grid.n:
-            raise DimensionError(f"expected {self.grid.n} values, got shape {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise DegenerateInputError("warping contains non-finite values")
+        g = _sampled(self.gamma, self.grid, "warping")
         if np.any(np.diff(g) < -1e-9):
             raise DegenerateInputError("warping is decreasing")
         g = np.maximum.accumulate(np.clip(g, 0.0, 1.0))
@@ -144,8 +140,7 @@ class Warping:
 
     def compose(self, inner: "Warping") -> "Warping":
         """Return self o inner, i.e. t -> self.gamma(inner.gamma(t))."""
-        if inner.grid.n != self.grid.n:
-            raise DimensionError("warpings live on different grids")
+        common_grid([self, inner])
         g = np.interp(inner.gamma, self.grid.points, self.gamma)
         return Warping(self.grid, g)
 
@@ -170,6 +165,16 @@ class DistanceTriple:
             raise DegenerateInputError(f"phase distance {self.phase} outside [0, pi/2]")
         if not (-1e-9 <= self.cosine <= 2 + 1e-9):
             raise DegenerateInputError(f"cosine distance {self.cosine} outside [0, 2]")
+
+
+def common_grid(items) -> TimeGrid:
+    """The one grid that grid-sampled items (curves, SRVFs, warps) share."""
+    if not items:
+        raise InsufficientDataError("no grid-sampled inputs given")
+    sizes = sorted({it.grid.n for it in items})
+    if len(sizes) > 1:
+        raise DimensionError(f"inputs live on different grids: sizes {sizes}")
+    return items[0].grid
 
 
 def inner_product(f: np.ndarray, g: np.ndarray, grid: TimeGrid) -> float:

@@ -31,7 +31,8 @@ from .core import (
     Trajectory,
     l2_norm,
 )
-from .preprocess import RawRecording, butterworth_lowpass, derivative, resample
+from .preprocess import (_PADLEN_PER_ORDER, RawRecording, butterworth_lowpass,
+                         derivative, resample)
 from .registration import (
     MIN_SIGNAL_NORM,
     RegistrationResult,
@@ -109,6 +110,11 @@ class PipelineConfig:
                     f"config field {name}={getattr(self, name)!r} "
                     f"out of range (expected {expected})"
                 )
+        if self.grid_n <= _PADLEN_PER_ORDER * self.filter_order:
+            raise ManifestError(
+                f"config field grid_n={self.grid_n} must exceed the filter's "
+                f"edge padding, {_PADLEN_PER_ORDER} x filter_order="
+                f"{self.filter_order}")
 
     @classmethod
     def from_file(cls, path: Path | str,
@@ -226,22 +232,30 @@ def _read_trial(path: Path, channel: str) -> RawRecording:
         raise ManifestError(f"trial file not found: {path}")
     times, values = [], []
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        have = set(reader.fieldnames or [])
-        if "time_s" not in have:
-            raise ManifestError(f"{path}: missing required column 'time_s'")
-        if channel not in have:
-            raise ManifestError(f"{path}: missing channel column {channel!r}")
-        for rowno, row in enumerate(reader, start=2):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for name, what in (("time_s", "required column"),
+                           (channel, "channel column")):
+            if name not in header:
+                raise ManifestError(f"{path}: missing {what} {name!r}")
+            if header.count(name) > 1:
+                raise ManifestError(f"{path}: header names column {name!r} "
+                                    f"{header.count(name)} times")
+        ti, ci = header.index("time_s"), header.index(channel)
+        for row in reader:
+            if not row:  # blank line
+                continue
             try:
-                t = float(row["time_s"])
-                v = float(row[channel])
-            except (TypeError, ValueError) as exc:
-                raise ManifestError(f"{path}:{rowno}: {exc}") from exc
-            if times and t <= times[-1]:
-                raise ManifestError(
-                    f"{path}:{rowno}: timestamps not strictly increasing"
-                )
+                t, v = float(row[ti]), float(row[ci])
+                if not (math.isfinite(t) and math.isfinite(v)):
+                    raise ValueError("non-finite value")
+                if times and t <= times[-1]:
+                    raise ValueError("timestamps not strictly increasing")
+            except IndexError:
+                raise ManifestError(f"{path}:{reader.line_num}: row is shorter "
+                                    f"than the header") from None
+            except ValueError as exc:
+                raise ManifestError(f"{path}:{reader.line_num}: {exc}") from exc
             times.append(t)
             values.append(v)
     if len(times) < 8:

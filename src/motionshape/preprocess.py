@@ -21,6 +21,9 @@ from .core import (
 
 __all__ = ["RawRecording", "resample", "butterworth_lowpass", "derivative"]
 
+# edge padding per filter order; a filtered signal must be longer than it
+_PADLEN_PER_ORDER = 3
+
 
 @dataclass(frozen=True)
 class RawRecording:
@@ -55,12 +58,8 @@ def resample(rec: RawRecording, n: int) -> Trajectory:
 
     The recording's time span maps affinely onto [0, 1].
     """
-    if n < 3:
-        raise ParameterError(f"resample needs n >= 3, got {n}")
-    t0, t1 = rec.timestamps[0], rec.timestamps[-1]
-    if t1 <= t0:
-        raise InsufficientDataError("recording spans zero time")
     grid = TimeGrid(n)
+    t0, t1 = rec.timestamps[0], rec.timestamps[-1]
     query = t0 + grid.points * (t1 - t0)
     return Trajectory(grid, np.interp(query, rec.timestamps, rec.samples))
 
@@ -72,7 +71,7 @@ def butterworth_lowpass(traj: Trajectory, order: int = 3,
     `cutoff_ratio` is the cutoff frequency as a fraction of the Nyquist
     frequency of the trajectory's own grid. The filter runs forward and
     backward (so the net gain at the cutoff is -6 dB) with reflective edge
-    padding of length 3 * order.
+    padding of length 3 * order, so the signal needs more samples than that.
     """
     if order < 1:
         raise ParameterError(f"filter order must be >= 1, got {order}")
@@ -80,7 +79,7 @@ def butterworth_lowpass(traj: Trajectory, order: int = 3,
         raise ParameterError(
             f"cutoff_ratio must be in (0, 1), got {cutoff_ratio}"
         )
-    padlen = 3 * order
+    padlen = _PADLEN_PER_ORDER * order
     if traj.grid.n <= padlen:
         raise ParameterError(
             f"signal too short to filter: n={traj.grid.n} <= padlen={padlen}"

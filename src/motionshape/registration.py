@@ -18,12 +18,11 @@ from scipy.integrate import cumulative_trapezoid
 
 from .core import (
     DegenerateInputError,
-    DimensionError,
-    InsufficientDataError,
     SrvfCurve,
     TimeGrid,
     Trajectory,
     Warping,
+    common_grid,
     inner_product,
     l2_norm,
 )
@@ -85,8 +84,7 @@ def _warp_rate(w: Warping) -> np.ndarray:
 
 def group_action(q: SrvfCurve, w: Warping) -> SrvfCurve:
     """Apply a warp to an SRVF: (q o gamma) * sqrt(gamma')."""
-    if q.grid.n != w.grid.n:
-        raise DimensionError("SRVF and warping live on different grids")
+    common_grid([q, w])
     warped = np.interp(w.gamma, q.grid.points, q.q)
     return SrvfCurve(q.grid, warped * np.sqrt(_warp_rate(w)))
 
@@ -109,15 +107,12 @@ def _edge_costs(q1: np.ndarray, q2: np.ndarray, n: int,
     The edge from node (i0, j0) to (i0+a, j0+b) carries the trapezoid-rule
     integral of (q1(t) - sqrt(b/a) * q2(gamma(t)))^2 over the a+1 grid points
     it spans, with gamma linear on the segment and q2 linearly interpolated.
-    costs[e][i0, j0] holds that value for edge shape e.
+    costs[e][i0, j0] holds that value for edge shape e (every a, b < n).
     """
     h = 1.0 / (n - 1)
     idx = np.arange(n, dtype=float)
     costs = []
     for a, b in edges:
-        if a >= n or b >= n:
-            costs.append(None)
-            continue
         sq = np.sqrt(b / a)
         rows = n - a
         cols = np.arange(n - b, dtype=float)
@@ -137,49 +132,38 @@ def _dp_path(q1: np.ndarray, q2: np.ndarray, n: int,
 
     Steps are the coprime pairs (a, b) with 1 <= a, b <= max_slope, so path
     slopes stay within [1/max_slope, max_slope]. Ties prefer the diagonal
-    step, which keeps the identity warp for self-alignment.
+    step, which keeps the identity warp for self-alignment. The diagonal
+    alone reaches (n-1, n-1), so the walk back only visits finite cells.
     """
-    edges = _edge_steps(max_slope)
+    edges = [(a, b) for a, b in _edge_steps(max_slope) if a < n and b < n]
     costs = _edge_costs(q1, q2, n, edges)
     dist = np.full((n, n), np.inf)
     dist[0, 0] = 0.0
-    pred = np.full((n, n), -1, dtype=np.int32)
+    pred = np.zeros((n, n), dtype=np.int32)
     cand = np.empty((len(edges), n))
     for i in range(1, n):
         cand.fill(np.inf)
         for e, (a, b) in enumerate(edges):
-            if a > i or costs[e] is None:
+            if a > i:
                 continue
             cand[e, b:] = dist[i - a, : n - b] + costs[e][i - a, :]
-        best = cand.argmin(axis=0)  # first minimum wins; (1,1) is edge 0
-        dist[i] = cand[best, np.arange(n)]
-        pred[i] = np.where(np.isfinite(dist[i]), best, -1)
+        pred[i] = cand.argmin(axis=0)  # first minimum wins; (1,1) is edge 0
+        dist[i] = cand[pred[i], np.arange(n)]
 
     vi, vj = [n - 1], [n - 1]
     i, j = n - 1, n - 1
     while (i, j) != (0, 0):
-        e = pred[i, j]
-        if e < 0:
-            raise DegenerateInputError("endpoint unreachable in warp search")
-        a, b = edges[e]
+        a, b = edges[pred[i, j]]
         i, j = i - a, j - b
         vi.append(i)
         vj.append(j)
     return np.array(vi[::-1], float), np.array(vj[::-1], float), float(dist[n - 1, n - 1])
 
 
-def _check_pair(q_ref: SrvfCurve, q_mov: SrvfCurve) -> int:
-    if q_ref.grid.n != q_mov.grid.n:
-        raise DimensionError(
-            f"SRVF grids differ: {q_ref.grid.n} vs {q_mov.grid.n}"
-        )
-    return q_ref.grid.n
-
-
 def optimal_warping(q_ref: SrvfCurve, q_mov: SrvfCurve,
                     max_slope: int = DEFAULT_MAX_SLOPE) -> Warping:
     """Warp that best aligns q_mov to q_ref under the elastic L2 cost."""
-    n = _check_pair(q_ref, q_mov)
+    n = common_grid([q_ref, q_mov]).n
     vi, vj, _ = _dp_path(q_ref.q, q_mov.q, n, max_slope)
     gamma = np.interp(np.arange(n, dtype=float), vi, vj) / (n - 1)
     return Warping(q_ref.grid, gamma)
@@ -188,7 +172,7 @@ def optimal_warping(q_ref: SrvfCurve, q_mov: SrvfCurve,
 def alignment_cost(q_ref: SrvfCurve, q_mov: SrvfCurve,
                    max_slope: int = DEFAULT_MAX_SLOPE) -> float:
     """Objective value attained by the optimal lattice path (see _edge_costs)."""
-    n = _check_pair(q_ref, q_mov)
+    n = common_grid([q_ref, q_mov]).n
     return _dp_path(q_ref.q, q_mov.q, n, max_slope)[2]
 
 
@@ -216,28 +200,19 @@ def cosine_distance(b1: Trajectory, b2: Trajectory) -> float:
     Undefined, and rejected, when either signal's L2 norm is below
     MIN_SIGNAL_NORM.
     """
-    if b1.grid.n != b2.grid.n:
-        raise DimensionError("trajectories live on different grids")
-    n1 = l2_norm(b1.values, b1.grid)
-    n2 = l2_norm(b2.values, b1.grid)
+    grid = common_grid([b1, b2])
+    n1 = l2_norm(b1.values, grid)
+    n2 = l2_norm(b2.values, grid)
     if n1 < MIN_SIGNAL_NORM or n2 < MIN_SIGNAL_NORM:
         raise DegenerateInputError("cosine distance undefined for a zero signal")
-    return 1.0 - inner_product(b1.values, b2.values, b1.grid) / (n1 * n2)
+    return 1.0 - inner_product(b1.values, b2.values, grid) / (n1 * n2)
 
 
 def warped_copy(traj: Trajectory, warp: Warping) -> Trajectory:
     """The signal composed with a warp: same shape, different timing."""
+    common_grid([traj, warp])
     values = np.interp(warp.gamma, traj.grid.points, traj.values)
     return Trajectory(traj.grid, values)
-
-
-def _common_grid(curves: list[Trajectory]) -> TimeGrid:
-    if not curves:
-        raise InsufficientDataError("no curves given")
-    n = curves[0].grid.n
-    if any(c.grid.n != n for c in curves):
-        raise DimensionError("curves live on different grids")
-    return curves[0].grid
 
 
 def _medoid(qs: list[SrvfCurve], grid: TimeGrid) -> int:
@@ -262,7 +237,7 @@ def phase_amplitude_separation(curves: list[Trajectory], max_iter: int = 20,
     then centered so their pointwise mean is the identity, with the mean
     re-warped to match.
     """
-    grid = _common_grid(curves)
+    grid = common_grid(curves)
     qs = [to_srvf(c) for c in curves]
     beta0 = float(np.mean([c.values[0] for c in curves]))
 
@@ -312,9 +287,8 @@ def phase_amplitude_separation(curves: list[Trajectory], max_iter: int = 20,
 def align_to_reference(curves: list[Trajectory], reference: Trajectory,
                        max_slope: int = DEFAULT_MAX_SLOPE) -> RegistrationResult:
     """Single-pass alignment of each curve to a fixed reference."""
-    grid = _common_grid(curves)
-    if reference.grid.n != grid.n:
-        raise DimensionError("reference grid differs from curve grid")
+    common_grid(curves)  # no curves: InsufficientDataError
+    common_grid([reference, *curves])
     q_ref = to_srvf(reference)
     warps = [optimal_warping(q_ref, to_srvf(c), max_slope) for c in curves]
     aligned = [warped_copy(c, w) for c, w in zip(curves, warps)]

@@ -37,6 +37,11 @@ def p_oracle(t, dof):
 samples = st.lists(st.floats(-50, 50, allow_nan=False), min_size=2, max_size=12)
 
 
+def sixty_fourths(bound):
+    """Multiples of 1/64 in [-bound, bound]: sums of two are exact floats."""
+    return st.integers(-64 * bound, 64 * bound).map(lambda k: k / 64)
+
+
 class TestWelch:
     def test_equal_samples(self):
         res = welch_t_test([3.0, 1.0, 4.0, 1.0], [3.0, 1.0, 4.0, 1.0])
@@ -79,7 +84,10 @@ class TestWelch:
         assert fwd.t_statistic == pytest.approx(-rev.t_statistic, abs=1e-12)
         assert fwd.p_value == pytest.approx(rev.p_value, abs=1e-12)
 
-    @given(a=samples, b=samples, shift=st.floats(-100, 100))
+    # exact shifts: a rounded `a + shift` can erase a sample's spread
+    @given(a=st.lists(sixty_fourths(50), min_size=2, max_size=12),
+           b=st.lists(sixty_fourths(50), min_size=2, max_size=12),
+           shift=sixty_fourths(100))
     @settings(max_examples=50)
     def test_translation_invariance(self, a, b, shift):
         try:

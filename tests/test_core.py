@@ -6,10 +6,12 @@ from motionshape.core import (
     DegenerateInputError,
     DimensionError,
     DomainError,
+    InsufficientDataError,
     ParameterError,
     TimeGrid,
     Trajectory,
     Warping,
+    common_grid,
     inner_product,
     interp_linear,
 )
@@ -32,6 +34,21 @@ class TestTimeGrid:
     def test_too_small_rejected(self):
         with pytest.raises(ParameterError):
             TimeGrid(2)
+
+
+class TestCommonGrid:
+    def test_shared_grid_returned(self, wavy101):
+        w = Warping.identity(TimeGrid(101))
+        assert common_grid([wavy101, w]) is wavy101.grid
+        assert common_grid([w]) is w.grid
+
+    def test_no_items(self):
+        with pytest.raises(InsufficientDataError):
+            common_grid([])
+
+    def test_different_sizes(self, wavy101, grid201):
+        with pytest.raises(DimensionError, match=r"\[101, 201\]"):
+            common_grid([wavy101, Warping.identity(grid201), wavy101])
 
 
 class TestTrajectory:

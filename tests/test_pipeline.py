@@ -111,6 +111,18 @@ class TestConfig:
         with pytest.raises(ManifestError, match=r"cfg\.txt:2.*cutoff_ratio"):
             PipelineConfig.from_file(f)
 
+    def test_grid_n_must_exceed_filter_padding(self, capsys):
+        # filtfilt pads each edge with 3 x filter_order samples
+        with pytest.raises(ManifestError, match=r"grid_n=9.*filter_order=3"):
+            PipelineConfig(grid_n=9)
+        with pytest.raises(ManifestError, match=r"grid_n=12.*filter_order=4"):
+            PipelineConfig(grid_n=12, filter_order=4)
+        assert PipelineConfig(grid_n=10).grid_n == 10
+        assert main(["ingest-check", "--manifest", "unused.csv",
+                     "--grid-n", "8", "--skip-bad"]) == 2
+        err = capsys.readouterr().err
+        assert "grid_n=8" in err and "filter_order=3" in err
+
     def test_overrides_win(self, tmp_path):
         f = tmp_path / "cfg.txt"
         f.write_text("grid_n = 61\n")
@@ -216,6 +228,51 @@ class TestIngest:
         m = tmp_path / "m.csv"
         write_manifest(m, [["P1", "healthy", "a.csv", "", ""]])
         with pytest.raises(ManifestError, match=r"a\.csv:13.*increasing"):
+            ingest(m, PipelineConfig())
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_nonfinite_sample_names_row(self, tmp_path, bad, column):
+        t = np.linspace(0, 2, 40)
+        rows = [[str(ti), str(np.sin(ti))] for ti in t]
+        rows[4][column] = bad  # line 6: the header is line 1
+        write_trial(tmp_path / "a.csv", rows)
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "healthy", "a.csv", "", ""]])
+        with pytest.raises(ManifestError, match=r"a\.csv:6: non-finite"):
+            ingest(m, PipelineConfig())
+        result = ingest(m, PipelineConfig(), skip_bad=True)
+        assert "a.csv:6: non-finite" in result.skipped[0][1]
+
+    def test_row_number_counts_blank_lines(self, tmp_path):
+        (tmp_path / "a.csv").write_text(
+            "time_s,gyro\n0.0,1.0\n\n0.1,2.0\n\n0.2,oops\n0.3,1.0\n")
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "healthy", "a.csv", "", ""]])
+        with pytest.raises(ManifestError, match=r"a\.csv:6: .*oops"):
+            ingest(m, PipelineConfig())
+
+    def test_blank_lines_skipped(self, tmp_path):
+        t = np.linspace(0, 2, 40)
+        lines = [f"{ti},{np.sin(ti)}\n\n" for ti in t]
+        (tmp_path / "a.csv").write_text("time_s,gyro\n" + "".join(lines))
+        write_trial(tmp_path / "b.csv", zip(t, np.sin(t)))
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "healthy", "a.csv", "", ""],
+                           ["P2", "healthy", "b.csv", "", ""]])
+        a, b = ingest(m, PipelineConfig(grid_n=31)).trajectories
+        np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("header", [("time_s", "gyro", "gyro"),
+                                        ("time_s", "gyro", "time_s")])
+    def test_duplicate_column_rejected(self, tmp_path, header):
+        t = np.linspace(0, 2, 40)
+        write_trial(tmp_path / "a.csv", zip(t, np.sin(t), np.cos(t)),
+                    header=header)
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "healthy", "a.csv", "", ""]])
+        dup = header[2]
+        with pytest.raises(ManifestError, match=rf"a\.csv: .*'{dup}' 2 times"):
             ingest(m, PipelineConfig())
 
     def test_missing_file(self, tmp_path):

@@ -1,4 +1,5 @@
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from motionshape.registration import (
     phase_distance,
     to_srvf,
 )
+from motionshape.analytics import pairwise_matrix, rolling_correlation
 from motionshape.synthetic import (
     bimodal_template,
     random_smooth_srvf,
@@ -332,3 +334,61 @@ class TestAlignToReference:
             d_h = amplitude_distance(template, healthy)
             d_d = amplitude_distance(template, degraded)
             assert d_h < d_d
+
+
+def sampled_on(n):
+    """A trajectory, its SRVF and the identity warp on an n-point grid."""
+    grid = TimeGrid(n)
+    traj = Trajectory(grid, np.sin(2 * np.pi * grid.points) + grid.points)
+    return SimpleNamespace(traj=traj, q=to_srvf(traj),
+                           w=Warping.identity(grid))
+
+
+# every public function that combines grid-sampled inputs, called with two
+# inputs on different grids
+MISMATCHED = {
+    "group_action": lambda a, b: group_action(a.q, b.w),
+    "optimal_warping": lambda a, b: optimal_warping(a.q, b.q),
+    "alignment_cost": lambda a, b: alignment_cost(a.q, b.q),
+    "amplitude_distance": lambda a, b: amplitude_distance(a.traj, b.traj),
+    "cosine_distance": lambda a, b: cosine_distance(a.traj, b.traj),
+    "warped_copy": lambda a, b: warped_copy(a.traj, b.w),
+    "phase_amplitude_separation":
+        lambda a, b: phase_amplitude_separation([a.traj, b.traj]),
+    "align_to_reference curves":
+        lambda a, b: align_to_reference([a.traj, b.traj], a.traj),
+    "align_to_reference reference":
+        lambda a, b: align_to_reference([a.traj], b.traj),
+    "pairwise_matrix":
+        lambda a, b: pairwise_matrix([a.traj, b.traj], "cosine", False),
+    "pairwise_matrix registered":
+        lambda a, b: pairwise_matrix([a.traj, b.traj], "phase", True),
+    "rolling_correlation": lambda a, b: rolling_correlation(a.traj, b.traj, 5),
+    "Warping.compose": lambda a, b: a.w.compose(b.w),
+}
+
+
+@pytest.mark.parametrize("call", MISMATCHED.values(), ids=MISMATCHED.keys())
+def test_mismatched_grids_rejected(call):
+    with pytest.raises(DimensionError):
+        call(sampled_on(21), sampled_on(31))
+
+
+@pytest.mark.parametrize("cls, values, what", [
+    (SrvfCurve, np.zeros(101), "SRVF"),
+    (Warping, np.linspace(0.0, 1.0, 101), "warping"),
+])
+class TestSampledTypes:
+    def test_wrong_length(self, grid101, cls, values, what):
+        with pytest.raises(DimensionError, match="expected 101 values"):
+            cls(grid101, values[:-1])
+        with pytest.raises(DimensionError, match="expected 101 values"):
+            cls(grid101, values[None, :])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite(self, grid101, cls, values, what, bad):
+        values = values.copy()
+        values[40] = bad
+        with pytest.raises(DegenerateInputError,
+                           match=f"{what} contains non-finite values"):
+            cls(grid101, values)
