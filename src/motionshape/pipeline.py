@@ -163,14 +163,23 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
         raise ManifestError(f"manifest not found: {path}")
     entries, rownos = [], []
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, [])
         required = {"participant_id", "cohort", "trial_path"}
-        have = set(reader.fieldnames or [])
-        if not required <= have:
+        missing = required - set(header)
+        if missing:
             raise ManifestError(
-                f"{path}: manifest missing columns {sorted(required - have)}"
+                f"{path}: manifest missing columns {sorted(missing)}"
             )
-        for rowno, row in enumerate(reader, start=2):
+        for name in (*sorted(required), "brooke_score", "dynamometry"):
+            if header.count(name) > 1:
+                raise ManifestError(f"{path}: header names column {name!r} "
+                                    f"{header.count(name)} times")
+        for fields in reader:
+            if not fields:  # blank line
+                continue
+            rowno = reader.line_num
+            row = dict(zip(header, fields))  # fields a short row lacks read as ""
             pid = (row.get("participant_id") or "").strip()
             cohort = (row.get("cohort") or "").strip()
             trial = (row.get("trial_path") or "").strip()

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import cumulative_trapezoid
 
 from .core import (
@@ -100,30 +101,43 @@ def _edge_steps(max_slope: int) -> list[tuple[int, int]]:
     )
 
 
-def _edge_costs(q1: np.ndarray, q2: np.ndarray, n: int,
-                edges: list[tuple[int, int]]) -> list[np.ndarray]:
-    """Cost of every lattice edge, per step shape.
+def _arrival_costs(q1: np.ndarray, q2: np.ndarray, n: int,
+                   edges: list[tuple[int, int]]) -> np.ndarray:
+    """Cost of every lattice edge, indexed by the node it arrives at.
 
-    The edge from node (i0, j0) to (i0+a, j0+b) carries the trapezoid-rule
+    The edge from node (i-a, j-b) to (i, j) carries the trapezoid-rule
     integral of (q1(t) - sqrt(b/a) * q2(gamma(t)))^2 over the a+1 grid points
     it spans, with gamma linear on the segment and q2 linearly interpolated.
-    costs[e][i0, j0] holds that value for edge shape e (every a, b < n).
+    out[i, e, j] holds that value for edge shape e = (a, b), and inf where
+    the edge would start off the grid (i < a or j < b). `edges` is sorted,
+    so the shapes sharing a row step a are contiguous and are evaluated
+    together, one trapezoid point k at a time.
     """
     h = 1.0 / (n - 1)
     idx = np.arange(n, dtype=float)
-    costs = []
-    for a, b in edges:
+    steps = np.array(edges)
+    out = np.full((n, len(edges), n), np.inf)
+    for a in range(1, steps[-1, 0] + 1):
+        group = slice(*np.searchsorted(steps[:, 0], [a, a + 1]))
+        b = steps[group, 1][:, None]
         sq = np.sqrt(b / a)
+        start = idx - b  # departure column j - b of each arrival column j
         rows = n - a
-        cols = np.arange(n - b, dtype=float)
-        c = np.zeros((rows, n - b))
         for k in range(a + 1):
-            w = 0.5 if k in (0, a) else 1.0
-            q2v = np.interp(cols + k * b / a, idx, q2)
-            diff = q1[k:k + rows, None] - sq * q2v[None, :]
-            c += w * diff * diff
-        costs.append(c * h)
-    return costs
+            q2v = np.interp(start + k * b / a, idx, q2)
+            # one row per departure row i - a, holding every (edge, j)
+            diff = q1[k:k + rows, None] - (sq * q2v).ravel()
+            term = 0.5 * diff if k in (0, a) else diff
+            term *= diff
+            if k == 0:
+                block = term
+            else:
+                block += term
+        block *= h
+        block = block.reshape(rows, -1, n)
+        block[:, start < 0] = np.inf
+        out[a:, group] = block
+    return out
 
 
 def _dp_path(q1: np.ndarray, q2: np.ndarray, n: int,
@@ -134,21 +148,28 @@ def _dp_path(q1: np.ndarray, q2: np.ndarray, n: int,
     slopes stay within [1/max_slope, max_slope]. Ties prefer the diagonal
     step, which keeps the identity warp for self-alignment. The diagonal
     alone reaches (n-1, n-1), so the walk back only visits finite cells.
+
+    `dist` is kept flat with p = max(a) rows and columns of inf in front,
+    so the departure cells of every edge arriving on one row are a single
+    gather at fixed offsets from that row's start.
     """
     edges = [(a, b) for a, b in _edge_steps(max_slope) if a < n and b < n]
-    costs = _edge_costs(q1, q2, n, edges)
-    dist = np.full((n, n), np.inf)
-    dist[0, 0] = 0.0
+    arrive = _arrival_costs(q1, q2, n, edges)
+    p = max(a for a, _ in edges)
+    width = n + p
+    dist = np.full((n + p) * width, np.inf)
+    dist[p * width + p] = 0.0
+    # edge e arriving on row i departs from window i * width + offset[e]
+    windows = sliding_window_view(dist, n)
+    offset = np.array([(p - a) * width + p - b for a, b in edges])
     pred = np.zeros((n, n), dtype=np.int32)
-    cand = np.empty((len(edges), n))
+    cols = np.arange(n)
     for i in range(1, n):
-        cand.fill(np.inf)
-        for e, (a, b) in enumerate(edges):
-            if a > i:
-                continue
-            cand[e, b:] = dist[i - a, : n - b] + costs[e][i - a, :]
+        cand = windows[i * width + offset]
+        cand += arrive[i]
         pred[i] = cand.argmin(axis=0)  # first minimum wins; (1,1) is edge 0
-        dist[i] = cand[pred[i], np.arange(n)]
+        row = (p + i) * width + p
+        dist[row:row + n] = cand[pred[i], cols]
 
     vi, vj = [n - 1], [n - 1]
     i, j = n - 1, n - 1
@@ -157,7 +178,7 @@ def _dp_path(q1: np.ndarray, q2: np.ndarray, n: int,
         i, j = i - a, j - b
         vi.append(i)
         vj.append(j)
-    return np.array(vi[::-1], float), np.array(vj[::-1], float), float(dist[n - 1, n - 1])
+    return np.array(vi[::-1], float), np.array(vj[::-1], float), float(dist[-1])
 
 
 def optimal_warping(q_ref: SrvfCurve, q_mov: SrvfCurve,
@@ -171,7 +192,10 @@ def optimal_warping(q_ref: SrvfCurve, q_mov: SrvfCurve,
 
 def alignment_cost(q_ref: SrvfCurve, q_mov: SrvfCurve,
                    max_slope: int = DEFAULT_MAX_SLOPE) -> float:
-    """Objective value attained by the optimal lattice path (see _edge_costs)."""
+    """Objective value attained by the optimal lattice path.
+
+    The path's edge costs are defined in `_arrival_costs`.
+    """
     n = common_grid([q_ref, q_mov]).n
     return _dp_path(q_ref.q, q_mov.q, n, max_slope)[2]
 

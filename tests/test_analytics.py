@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from motionshape import analytics, registration
 from motionshape.core import (
     DegenerateInputError,
     DimensionError,
     InsufficientDataError,
     ParameterError,
+    TimeGrid,
     Trajectory,
 )
 from motionshape.analytics import (
@@ -19,6 +21,7 @@ from motionshape.analytics import (
     t_two_sided_pvalue,
     welch_t_test,
 )
+from motionshape.registration import phase_amplitude_separation
 from motionshape.synthetic import random_smooth_warp, warped_copy, wavy_template
 
 
@@ -234,3 +237,43 @@ class TestPairwiseMatrix:
     def test_needs_two_curves(self, wavy101):
         with pytest.raises(InsufficientDataError):
             pairwise_matrix([wavy101], "cosine", registered=False)
+
+
+class TestOneSolvePerPair:
+    """Every pair alignment is one `optimal_warping` call: the benchmark's
+    closed-form solve count relies on it."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        real = registration.optimal_warping
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analytics, "optimal_warping", counted)
+        monkeypatch.setattr(registration, "optimal_warping", counted)
+        return calls
+
+    @pytest.fixture
+    def curves(self):
+        grid = TimeGrid(31)
+        template = wavy_template(grid)
+        rng = np.random.default_rng(9)
+        return [warped_copy(template, random_smooth_warp(grid, rng, 0.3))
+                for _ in range(4)]
+
+    @pytest.mark.parametrize("metric", ["amplitude", "phase", "cosine"])
+    def test_registered_matrix(self, solves, curves, metric):
+        pairwise_matrix(curves, metric, registered=True)
+        assert len(solves) == len(curves) * (len(curves) - 1)
+
+    def test_unregistered_matrix(self, solves, curves):
+        pairwise_matrix(curves, "amplitude", registered=False)
+        assert solves == []
+
+    def test_karcher_mean(self, solves, curves):
+        result = phase_amplitude_separation(curves, max_iter=3, tol=1e-12)
+        assert result.iterations == 3
+        assert len(solves) == result.iterations * len(curves)

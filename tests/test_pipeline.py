@@ -203,6 +203,34 @@ class TestManifest:
         with pytest.raises(ManifestError, match="missing columns"):
             load_manifest(m)
 
+    def test_row_number_counts_blank_lines(self, tmp_path):
+        m = tmp_path / "m.csv"
+        m.write_text("participant_id,cohort,trial_path\n"
+                     "P1,healthy,a.csv\n\n\nP2,control,b.csv\n")
+        with pytest.raises(ManifestError, match=r"m\.csv:5: .*control"):
+            load_manifest(m)
+
+    def test_short_row_lacks_optional_fields(self, tmp_path):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "DMD", "a.csv"]])
+        (entry,) = load_manifest(m)
+        assert (entry.brooke_score, entry.dynamometry) == (None, None)
+
+    @pytest.mark.parametrize("header, dup", [
+        ("participant_id,cohort,trial_path,cohort", "cohort"),
+        ("participant_id,cohort,trial_path,brooke_score,brooke_score",
+         "brooke_score"),
+        ("trial_path,participant_id,cohort,trial_path,trial_path",
+         "trial_path"),
+    ])
+    def test_duplicate_column_rejected(self, tmp_path, header, dup):
+        m = tmp_path / "m.csv"
+        count = header.split(",").count(dup)
+        m.write_text(header + "\nP1,healthy,a.csv,SMA,3\n")
+        with pytest.raises(ManifestError,
+                           match=rf"m\.csv: .*'{dup}' {count} times"):
+            load_manifest(m)
+
 
 class TestIngest:
     def test_empty_manifest(self, tmp_path):

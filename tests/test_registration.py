@@ -15,6 +15,9 @@ from motionshape.core import (
     l2_norm,
 )
 from motionshape.registration import (
+    _arrival_costs,
+    _dp_path,
+    _edge_steps,
     align_to_reference,
     alignment_cost,
     amplitude_distance,
@@ -65,6 +68,100 @@ def brute_force_cost(q1, q2, n, max_slope=7):
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def reference_edge_costs(q1, q2, n, edges):
+    """The per-edge cost arrays the DP was first written with, kept as the
+    reference the arrival-indexed costs must reproduce bit for bit."""
+    h = 1.0 / (n - 1)
+    idx = np.arange(n, dtype=float)
+    costs = []
+    for a, b in edges:
+        sq = np.sqrt(b / a)
+        rows = n - a
+        cols = np.arange(n - b, dtype=float)
+        c = np.zeros((rows, n - b))
+        for k in range(a + 1):
+            w = 0.5 if k in (0, a) else 1.0
+            q2v = np.interp(cols + k * b / a, idx, q2)
+            diff = q1[k:k + rows, None] - sq * q2v[None, :]
+            c += w * diff * diff
+        costs.append(c * h)
+    return costs
+
+
+def reference_dp_path(q1, q2, n, max_slope):
+    """The original per-edge row loop over reference_edge_costs."""
+    edges = [(a, b) for a, b in _edge_steps(max_slope) if a < n and b < n]
+    costs = reference_edge_costs(q1, q2, n, edges)
+    dist = np.full((n, n), np.inf)
+    dist[0, 0] = 0.0
+    pred = np.zeros((n, n), dtype=np.int32)
+    cand = np.empty((len(edges), n))
+    for i in range(1, n):
+        cand.fill(np.inf)
+        for e, (a, b) in enumerate(edges):
+            if a > i:
+                continue
+            cand[e, b:] = dist[i - a, : n - b] + costs[e][i - a, :]
+        pred[i] = cand.argmin(axis=0)  # first minimum wins; (1,1) is edge 0
+        dist[i] = cand[pred[i], np.arange(n)]
+
+    vi, vj = [n - 1], [n - 1]
+    i, j = n - 1, n - 1
+    while (i, j) != (0, 0):
+        a, b = edges[pred[i, j]]
+        i, j = i - a, j - b
+        vi.append(i)
+        vj.append(j)
+    return np.array(vi[::-1], float), np.array(vj[::-1], float), float(dist[n - 1, n - 1])
+
+
+def assert_same_path(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+class TestDpMatchesReference:
+    @pytest.mark.parametrize("max_slope", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 31, 101])
+    def test_random_pairs_bit_identical(self, n, max_slope):
+        rng = np.random.default_rng(1000 * n + max_slope)
+        for _ in range(3):
+            q1, q2 = rng.normal(size=n), rng.normal(size=n)
+            assert_same_path(_dp_path(q1, q2, n, max_slope),
+                             reference_dp_path(q1, q2, n, max_slope))
+
+    @pytest.mark.parametrize("n, max_slope", [(3, 7), (8, 3), (31, 7)])
+    def test_arrival_costs_bit_identical(self, n, max_slope):
+        rng = np.random.default_rng(n)
+        q1, q2 = rng.normal(size=n), rng.normal(size=n)
+        edges = [(a, b) for a, b in _edge_steps(max_slope) if a < n and b < n]
+        got = _arrival_costs(q1, q2, n, edges)
+        want = np.full((n, len(edges), n), np.inf)
+        for e, ((a, b), c) in enumerate(
+                zip(edges, reference_edge_costs(q1, q2, n, edges))):
+            want[a:, e, b:] = c
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [3, 8, 101])
+    def test_self_pair_is_free_diagonal(self, n):
+        q = np.random.default_rng(n).normal(size=n)
+        got = _dp_path(q, q, n, 7)
+        assert got[2] == 0.0
+        assert np.array_equal(got[0], np.arange(n, dtype=float))
+        assert np.array_equal(got[1], np.arange(n, dtype=float))
+        assert_same_path(got, reference_dp_path(q, q, n, 7))
+
+    @pytest.mark.parametrize("n", [3, 8, 101])
+    def test_all_ties_pick_diagonal(self, n):
+        q = np.zeros(n)
+        got = _dp_path(q, q, n, 7)
+        assert got[2] == 0.0
+        assert np.array_equal(got[0], np.arange(n, dtype=float))
+        assert np.array_equal(got[1], np.arange(n, dtype=float))
+        assert_same_path(got, reference_dp_path(q, q, n, 7))
 
 
 class TestSrvfTransform:
