@@ -10,7 +10,7 @@ any statistics library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, lgamma, log, log1p, sqrt
+from math import exp, isfinite, lgamma, log, log1p, sqrt
 
 import numpy as np
 
@@ -152,9 +152,12 @@ def _betainc(a: float, b: float, x: float) -> float:
 
 def t_two_sided_pvalue(t: float, dof: float) -> float:
     """P(|T| >= |t|) for Student's t with `dof` degrees of freedom."""
-    if not np.isfinite(dof) or dof <= 0:
+    # Python floats: t * t then overflows to inf quietly (numpy scalars warn),
+    # and the p-value comes back as a float
+    t, dof = float(t), float(dof)
+    if not isfinite(dof) or dof <= 0:
         raise ParameterError(f"dof must be positive and finite, got {dof}")
-    if not np.isfinite(t):
+    if not isfinite(t):
         return 0.0
     return min(1.0, _betainc(0.5 * dof, 0.5, dof / (dof + t * t)))
 

@@ -31,7 +31,7 @@ from .core import (
     Trajectory,
     l2_norm,
 )
-from .preprocess import (_PADLEN_PER_ORDER, RawRecording, butterworth_lowpass,
+from .preprocess import (PADLEN_PER_ORDER, RawRecording, butterworth_lowpass,
                          derivative, resample)
 from .registration import (
     MIN_SIGNAL_NORM,
@@ -110,10 +110,10 @@ class PipelineConfig:
                     f"config field {name}={getattr(self, name)!r} "
                     f"out of range (expected {expected})"
                 )
-        if self.grid_n <= _PADLEN_PER_ORDER * self.filter_order:
+        if self.grid_n <= PADLEN_PER_ORDER * self.filter_order:
             raise ManifestError(
                 f"config field grid_n={self.grid_n} must exceed the filter's "
-                f"edge padding, {_PADLEN_PER_ORDER} x filter_order="
+                f"edge padding, {PADLEN_PER_ORDER} x filter_order="
                 f"{self.filter_order}")
 
     @classmethod

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .core import (
     InsufficientDataError,
@@ -19,10 +18,16 @@ from .core import (
     Trajectory,
 )
 
-__all__ = ["RawRecording", "resample", "butterworth_lowpass", "derivative"]
+__all__ = [
+    "PADLEN_PER_ORDER",
+    "RawRecording",
+    "resample",
+    "butterworth_lowpass",
+    "derivative",
+]
 
 # edge padding per filter order; a filtered signal must be longer than it
-_PADLEN_PER_ORDER = 3
+PADLEN_PER_ORDER = 3
 
 
 @dataclass(frozen=True)
@@ -64,14 +69,69 @@ def resample(rec: RawRecording, n: int) -> Trajectory:
     return Trajectory(grid, np.interp(query, rec.timestamps, rec.samples))
 
 
+def _poly(roots: np.ndarray) -> np.ndarray:
+    # monic polynomial with these roots, highest power first, by np.poly's
+    # convolutions; real when the roots are real or come in conjugate pairs
+    coeffs = np.ones(1, dtype=roots.dtype)
+    for r in roots:
+        coeffs = np.convolve(coeffs, [1.0, -r])
+    if np.array_equal(np.sort(roots.imag), np.sort(-roots.imag)):
+        coeffs = coeffs.real
+    return coeffs
+
+
+def _butter_lowpass_ba(order: int, cutoff_ratio: float):
+    # analog prototype poles on the unit circle, the cutoff prewarped for the
+    # bilinear transform s -> 4 (z - 1) / (z + 1) (sample rate 2, Nyquist 1);
+    # the zeros all land at z = -1
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    poles = -np.exp(1j * np.pi * m / (2 * order))
+    warped = float(4.0 * np.tan(np.pi * np.float64(cutoff_ratio) / 2.0))
+    poles = warped * poles
+    fs2 = 4.0
+    poles_z = (fs2 + poles) / (fs2 - poles)
+    gain_z = warped**order * np.real(np.float64(1.0) / np.prod(fs2 - poles))
+    return gain_z * _poly(-np.ones(order)), _poly(poles_z)
+
+
+def _steady_state(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # filter state once a unit step has settled: zi = C^T zi + B with C the
+    # companion matrix of a (a[0] == 1)
+    n = a.size
+    companion = np.zeros((n - 1, n - 1))
+    companion[0] = -a[1:]
+    companion[np.arange(1, n - 1), np.arange(n - 2)] = 1.0
+    return np.linalg.solve(np.eye(n - 1) - companion.T, b[1:] - a[1:] * b[0])
+
+
+def _lfilter(b: list[float], a: list[float], x, z: list[float]) -> list[float]:
+    # direct-form II transposed, one sample at a time
+    last = len(b) - 1
+    y = []
+    for xn in x:
+        yn = z[0] + b[0] * xn
+        for i in range(last - 1):
+            z[i] = z[i + 1] + xn * b[i + 1] - yn * a[i + 1]
+        z[last - 1] = xn * b[last] - yn * a[last]
+        y.append(yn)
+    return y
+
+
 def butterworth_lowpass(traj: Trajectory, order: int = 3,
                         cutoff_ratio: float = 0.1) -> Trajectory:
     """Zero-phase low-pass Butterworth filter.
 
     `cutoff_ratio` is the cutoff frequency as a fraction of the Nyquist
-    frequency of the trajectory's own grid. The filter runs forward and
-    backward (so the net gain at the cutoff is -6 dB) with reflective edge
-    padding of length 3 * order, so the signal needs more samples than that.
+    frequency of the trajectory's own grid. The design is the analog
+    Butterworth prototype mapped by the prewarped bilinear transform
+    (Oppenheim & Schafer, *Discrete-Time Signal Processing*). The filter runs
+    forward and backward (so the net gain at the cutoff is -6 dB), starting
+    each pass from the steady state of the step response scaled by the first
+    sample (Gustafsson, IEEE TSP 1996), over the signal with even (mirror)
+    padding of length 3 * order at each end, so the signal needs more samples
+    than that. Coefficients and output match SciPy's
+    `signal.butter(order, cutoff_ratio)` and
+    `signal.filtfilt(b, a, x, padtype="even", padlen=3 * order)` bit for bit.
     """
     if order < 1:
         raise ParameterError(f"filter order must be >= 1, got {order}")
@@ -79,14 +139,19 @@ def butterworth_lowpass(traj: Trajectory, order: int = 3,
         raise ParameterError(
             f"cutoff_ratio must be in (0, 1), got {cutoff_ratio}"
         )
-    padlen = _PADLEN_PER_ORDER * order
+    padlen = PADLEN_PER_ORDER * order
     if traj.grid.n <= padlen:
         raise ParameterError(
             f"signal too short to filter: n={traj.grid.n} <= padlen={padlen}"
         )
-    b, a = signal.butter(order, cutoff_ratio)
-    smoothed = signal.filtfilt(b, a, traj.values, padtype="even", padlen=padlen)
-    return Trajectory(traj.grid, smoothed)
+    b, a = _butter_lowpass_ba(order, cutoff_ratio)
+    zi = _steady_state(b, a)
+    x = traj.values
+    ext = np.concatenate((x[padlen:0:-1], x, x[-2:-(padlen + 2):-1]))
+    bl, al = b.tolist(), a.tolist()
+    y = _lfilter(bl, al, ext.tolist(), (zi * ext[0]).tolist())
+    y = _lfilter(bl, al, reversed(y), (zi * y[-1]).tolist())
+    return Trajectory(traj.grid, np.array(y[-padlen - 1:padlen - 1:-1]))
 
 
 def derivative(traj: Trajectory) -> Trajectory:

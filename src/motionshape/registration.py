@@ -15,7 +15,6 @@ from math import gcd
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import cumulative_trapezoid
 
 from .core import (
     DegenerateInputError,
@@ -70,9 +69,10 @@ def to_srvf(traj: Trajectory) -> SrvfCurve:
 
 
 def from_srvf(q: SrvfCurve, beta0: float = 0.0) -> Trajectory:
-    """Invert the SRVF map: beta(t) = beta0 + int_0^t q|q| ds."""
-    integrand = q.q * np.abs(q.q)
-    beta = beta0 + cumulative_trapezoid(integrand, dx=q.grid.spacing, initial=0.0)
+    """Invert the SRVF map: beta(t) = beta0 + int_0^t q|q| ds (trapezoids)."""
+    y = q.q * np.abs(q.q)
+    trapezoids = q.grid.spacing * (y[1:] + y[:-1]) / 2.0
+    beta = beta0 + np.concatenate(([0.0], np.cumsum(trapezoids)))
     return Trajectory(q.grid, beta)
 
 

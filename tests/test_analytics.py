@@ -1,3 +1,4 @@
+import warnings
 from math import exp, lgamma, log, pi
 
 import numpy as np
@@ -76,6 +77,14 @@ class TestWelch:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             welch_t_test([1.0], [1.0, 2.0])
+
+    def test_huge_t_no_overflow_warning(self):
+        # |t| ~ 2e170, so t * t overflows a double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = welch_t_test([0.0, 1e-160], [1e10, 1e10])
+        assert res.p_value == 0.0
+        assert type(res.p_value) is float
 
     @given(a=samples, b=samples)
     def test_antisymmetry(self, a, b):

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import motionshape
 from motionshape.core import DegenerateInputError, InsufficientDataError
 from motionshape import pipeline
 from motionshape.cli import main
@@ -508,3 +513,14 @@ class TestCli:
                    "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         assert (out / "distances.csv").is_file()
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only oracle; importing it costs ~1.2 s per run
+        src = str(Path(motionshape.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, motionshape, motionshape.cli; print(sorted(m for m "
+                "in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}).stdout
+        assert out == "[]\n"

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy import signal
 
 from motionshape.core import InsufficientDataError, ParameterError, TimeGrid, Trajectory
 from motionshape.preprocess import (
+    PADLEN_PER_ORDER,
     RawRecording,
+    _butter_lowpass_ba,
     butterworth_lowpass,
     derivative,
     resample,
@@ -117,6 +120,28 @@ class TestButterworth:
         b = resample(rec_b, n).values
         rms = np.sqrt(np.mean((a - b) ** 2)) / np.sqrt(np.mean(x ** 2))
         assert rms < 0.05
+
+
+class TestButterworthMatchesScipy:
+    """The filter is plain numpy; scipy's butter + filtfilt is the oracle."""
+
+    CUTOFFS = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.95, 0.999)
+
+    @pytest.mark.parametrize("order", [*range(1, 13), 16, 20])
+    def test_bit_identical(self, order):
+        rng = np.random.default_rng(order)
+        padlen = PADLEN_PER_ORDER * order
+        for cutoff in self.CUTOFFS:
+            b, a = _butter_lowpass_ba(order, cutoff)
+            b_ref, a_ref = signal.butter(order, cutoff)
+            assert np.array_equal(b, b_ref) and np.array_equal(a, a_ref)
+            for n in (padlen + 1, padlen + 2, 101, 257):
+                x = np.cumsum(rng.standard_normal(n))
+                got = butterworth_lowpass(Trajectory(TimeGrid(n), x),
+                                          order, cutoff).values
+                want = signal.filtfilt(b_ref, a_ref, x, padtype="even",
+                                       padlen=padlen)
+                assert np.array_equal(got, want), (cutoff, n)
 
 
 class TestDerivative:

@@ -200,6 +200,20 @@ class TestFromSrvf:
         assert rmse <= 1e-2
 
 
+class TestFromSrvfMatchesScipy:
+    @pytest.mark.parametrize("n", [3, 101, 1001])
+    def test_bit_identical(self, n):
+        from scipy.integrate import cumulative_trapezoid
+
+        grid = TimeGrid(n)
+        q = np.random.default_rng(n).standard_normal(n)
+        for beta0 in (0.0, 1.7, -3e5):
+            got = from_srvf(SrvfCurve(grid, q), beta0).values
+            want = beta0 + cumulative_trapezoid(q * np.abs(q), dx=grid.spacing,
+                                                initial=0.0)
+            assert np.array_equal(got, want)
+
+
 class TestGroupAction:
     def test_identity(self, grid101):
         q = random_smooth_srvf(grid101, np.random.default_rng(3))
