@@ -9,9 +9,12 @@ Outputs are deterministic: same inputs and config give byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import re
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -68,6 +71,51 @@ MIN_VARIATION_RATIO = 1e-9
 
 class ManifestError(ValueError):
     """Manifest or trial file problem, with file/row context in the message."""
+
+
+# a number that fails to parse is quoted in the error up to this many
+# characters; a stray quote can turn the rest of a file into one field
+MAX_QUOTED_CHARS = 40
+
+
+def _open_text(path: Path) -> tuple[str, io.TextIOWrapper]:
+    """A file's text, whole and as a stream of lines, decoded as `open`
+    decodes it; line breaks are kept as written.
+
+    Bytes the codec refuses raise ManifestError naming the file and line.
+    """
+    raw = path.read_bytes()
+    stream = io.TextIOWrapper(io.BytesIO(raw), newline="")
+    try:
+        text = raw.decode(stream.encoding)
+    except UnicodeDecodeError as exc:
+        before = raw[:exc.start].decode(stream.encoding)
+        line = 1 + len(re.findall(r"\r\n|\r|\n", before))
+        raise ManifestError(f"{path}:{line}: {exc}") from exc
+    return text, stream
+
+
+def _csv_rows(path: Path,
+              lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each csv row read from `lines`, blank rows
+    included; a csv.Error raises ManifestError naming the file and line."""
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ManifestError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def _to_float(field: str) -> float:
+    """float(field); the error quotes at most MAX_QUOTED_CHARS of it."""
+    try:
+        return float(field)
+    except ValueError:
+        if len(field) <= MAX_QUOTED_CHARS:
+            raise
+        shown = f"{field[:MAX_QUOTED_CHARS]!r}... ({len(field)} characters)"
+        raise ValueError(f"could not convert string to float: {shown}") from None
 
 
 @dataclass(frozen=True)
@@ -162,60 +210,59 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
     entries, rownos = [], []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        required = {"participant_id", "cohort", "trial_path"}
-        missing = required - set(header)
-        if missing:
+    _, stream = _open_text(path)
+    rows = _csv_rows(path, stream)
+    _, header = next(rows, (0, []))
+    required = {"participant_id", "cohort", "trial_path"}
+    missing = required - set(header)
+    if missing:
+        raise ManifestError(
+            f"{path}: manifest missing columns {sorted(missing)}"
+        )
+    for name in (*sorted(required), "brooke_score", "dynamometry"):
+        if header.count(name) > 1:
+            raise ManifestError(f"{path}: header names column {name!r} "
+                                f"{header.count(name)} times")
+    for rowno, fields in rows:
+        if not fields:  # blank line
+            continue
+        row = dict(zip(header, fields))  # fields a short row lacks read as ""
+        pid = (row.get("participant_id") or "").strip()
+        cohort = (row.get("cohort") or "").strip()
+        trial = (row.get("trial_path") or "").strip()
+        if not pid or not trial:
             raise ManifestError(
-                f"{path}: manifest missing columns {sorted(missing)}"
+                f"{path}:{rowno}: participant_id and trial_path are required"
             )
-        for name in (*sorted(required), "brooke_score", "dynamometry"):
-            if header.count(name) > 1:
-                raise ManifestError(f"{path}: header names column {name!r} "
-                                    f"{header.count(name)} times")
-        for fields in reader:
-            if not fields:  # blank line
-                continue
-            rowno = reader.line_num
-            row = dict(zip(header, fields))  # fields a short row lacks read as ""
-            pid = (row.get("participant_id") or "").strip()
-            cohort = (row.get("cohort") or "").strip()
-            trial = (row.get("trial_path") or "").strip()
-            if not pid or not trial:
-                raise ManifestError(
-                    f"{path}:{rowno}: participant_id and trial_path are required"
-                )
-            if "/" in pid or "\\" in pid:
-                # the id names output files, so it must not be a path
-                raise ManifestError(
-                    f"{path}:{rowno}: participant_id {pid!r} contains a "
-                    f"path separator"
-                )
-            if cohort not in COHORTS:
-                raise ManifestError(
-                    f"{path}:{rowno}: cohort {cohort!r} not one of {COHORTS}"
-                )
-            brooke_raw = (row.get("brooke_score") or "").strip()
-            dyn_raw = (row.get("dynamometry") or "").strip()
-            try:
-                brooke = int(brooke_raw) if brooke_raw else None
-                dyn = float(dyn_raw) if dyn_raw else None
-            except ValueError as exc:
-                raise ManifestError(f"{path}:{rowno}: {exc}") from exc
-            if brooke is not None and not (1 <= brooke <= 6):
-                raise ManifestError(
-                    f"{path}:{rowno}: brooke_score {brooke} outside 1..6"
-                )
-            if dyn is not None and (not math.isfinite(dyn) or dyn < 0):
-                raise ManifestError(
-                    f"{path}:{rowno}: dynamometry must be a nonnegative real"
-                )
-            entries.append(ManifestEntry(pid, cohort,
-                                         (path.parent / trial).resolve(),
-                                         brooke, dyn))
-            rownos.append(rowno)
+        if "/" in pid or "\\" in pid:
+            # the id names output files, so it must not be a path
+            raise ManifestError(
+                f"{path}:{rowno}: participant_id {pid!r} contains a "
+                f"path separator"
+            )
+        if cohort not in COHORTS:
+            raise ManifestError(
+                f"{path}:{rowno}: cohort {cohort!r} not one of {COHORTS}"
+            )
+        brooke_raw = (row.get("brooke_score") or "").strip()
+        dyn_raw = (row.get("dynamometry") or "").strip()
+        try:
+            brooke = int(brooke_raw) if brooke_raw else None
+            dyn = _to_float(dyn_raw) if dyn_raw else None
+        except ValueError as exc:
+            raise ManifestError(f"{path}:{rowno}: {exc}") from exc
+        if brooke is not None and not (1 <= brooke <= 6):
+            raise ManifestError(
+                f"{path}:{rowno}: brooke_score {brooke} outside 1..6"
+            )
+        if dyn is not None and (not math.isfinite(dyn) or dyn < 0):
+            raise ManifestError(
+                f"{path}:{rowno}: dynamometry must be a nonnegative real"
+            )
+        entries.append(ManifestEntry(pid, cohort,
+                                     (path.parent / trial).resolve(),
+                                     brooke, dyn))
+        rownos.append(rowno)
     first_row: dict[str, int] = {}
     for rowno, label in zip(rownos, _trial_labels(entries)):
         if label in first_row:
@@ -237,36 +284,64 @@ def _trial_labels(entries: list[ManifestEntry]) -> list[str]:
 
 
 def _read_trial(path: Path, channel: str) -> RawRecording:
+    """One trial CSV's `time_s` and channel columns.
+
+    numpy's C reader parses the data rows. A file it refuses, or whose
+    values fail a check, is re-read by `_read_rows`, which gives the same
+    values or names the bad line.
+    """
     if not path.is_file():
         raise ManifestError(f"trial file not found: {path}")
+    text, lines = _open_text(path)
+    _, header = next(_csv_rows(path, lines), (0, []))
+    for name, what in (("time_s", "required column"),
+                       (channel, "channel column")):
+        if name not in header:
+            raise ManifestError(f"{path}: missing {what} {name!r}")
+        if header.count(name) > 1:
+            raise ManifestError(f"{path}: header names column {name!r} "
+                                f"{header.count(name)} times")
+    ti, ci = header.index("time_s"), header.index(channel)
+    # numpy's reader does not join a quoted field across lines, and warns
+    # on a body without rows. Without quotes the header is line 1, so a
+    # data row is a line break followed by anything but another one.
+    if '"' not in text and re.search(r"[\r\n][^\r\n]", text):
+        try:
+            data = np.loadtxt(lines, delimiter=",", comments=None,
+                              usecols=(ti, ci), ndmin=2)
+            if len(data) >= 8:
+                times, values = data.T.copy()
+                return RawRecording(times, values)
+        except ValueError:  # a parse error or a failed RawRecording check
+            pass
+    return _read_rows(path, text, ti, ci)
+
+
+def _read_rows(path: Path, text: str, ti: int, ci: int) -> RawRecording:
+    """The per-row reader: Python's csv and float() on every data row.
+
+    It accepts all they accept (quoted fields, `1_000`, non-ASCII digits)
+    and raises on the first bad line, naming it.
+    """
     times, values = [], []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for name, what in (("time_s", "required column"),
-                           (channel, "channel column")):
-            if name not in header:
-                raise ManifestError(f"{path}: missing {what} {name!r}")
-            if header.count(name) > 1:
-                raise ManifestError(f"{path}: header names column {name!r} "
-                                    f"{header.count(name)} times")
-        ti, ci = header.index("time_s"), header.index(channel)
-        for row in reader:
-            if not row:  # blank line
-                continue
-            try:
-                t, v = float(row[ti]), float(row[ci])
-                if not (math.isfinite(t) and math.isfinite(v)):
-                    raise ValueError("non-finite value")
-                if times and t <= times[-1]:
-                    raise ValueError("timestamps not strictly increasing")
-            except IndexError:
-                raise ManifestError(f"{path}:{reader.line_num}: row is shorter "
-                                    f"than the header") from None
-            except ValueError as exc:
-                raise ManifestError(f"{path}:{reader.line_num}: {exc}") from exc
-            times.append(t)
-            values.append(v)
+    rows = _csv_rows(path, io.StringIO(text, newline=""))
+    next(rows)  # the header, checked by the caller
+    for lineno, row in rows:
+        if not row:  # blank line
+            continue
+        try:
+            t, v = _to_float(row[ti]), _to_float(row[ci])
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise ValueError("non-finite value")
+            if times and t <= times[-1]:
+                raise ValueError("timestamps not strictly increasing")
+        except IndexError:
+            raise ManifestError(f"{path}:{lineno}: row is shorter "
+                                f"than the header") from None
+        except ValueError as exc:
+            raise ManifestError(f"{path}:{lineno}: {exc}") from exc
+        times.append(t)
+        values.append(v)
     if len(times) < 8:
         raise ManifestError(f"{path}: fewer than 8 samples ({len(times)})")
     return RawRecording(np.array(times), np.array(values))

@@ -1,17 +1,22 @@
+import ast
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import motionshape
 from motionshape.core import DegenerateInputError, InsufficientDataError
 from motionshape import pipeline
+from motionshape.preprocess import RawRecording
 from motionshape.cli import main
 from motionshape.pipeline import (
     IngestResult,
@@ -75,6 +80,102 @@ def all_bad_manifest(tmp_path):
 def trial_row(pid, trial_path):
     return {"participant_id": pid, "cohort": "DMD", "trial_path": trial_path,
             "brooke_score": "", "dynamometry": ""}
+
+
+def reference_read_trial(path, channel):
+    """The original per-row trial reader, the reference for `_read_trial`."""
+    if not path.is_file():
+        raise ManifestError(f"trial file not found: {path}")
+    times, values = [], []
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for name, what in (("time_s", "required column"),
+                           (channel, "channel column")):
+            if name not in header:
+                raise ManifestError(f"{path}: missing {what} {name!r}")
+            if header.count(name) > 1:
+                raise ManifestError(f"{path}: header names column {name!r} "
+                                    f"{header.count(name)} times")
+        ti, ci = header.index("time_s"), header.index(channel)
+        for row in reader:
+            if not row:  # blank line
+                continue
+            try:
+                t, v = float(row[ti]), float(row[ci])
+                if not (math.isfinite(t) and math.isfinite(v)):
+                    raise ValueError("non-finite value")
+                if times and t <= times[-1]:
+                    raise ValueError("timestamps not strictly increasing")
+            except IndexError:
+                raise ManifestError(f"{path}:{reader.line_num}: row is shorter "
+                                    f"than the header") from None
+            except ValueError as exc:
+                raise ManifestError(f"{path}:{reader.line_num}: {exc}") from exc
+            times.append(t)
+            values.append(v)
+    if len(times) < 8:
+        raise ManifestError(f"{path}: fewer than 8 samples ({len(times)})")
+    return RawRecording(np.array(times), np.array(values))
+
+
+def read_outcome(read, path):
+    """("ok", times, samples) or ("error", exception type, message)."""
+    try:
+        rec = read(path, "gyro")
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+    return "ok", rec.timestamps, rec.samples
+
+
+def quoted_as_reader_quotes(message):
+    """`message` with its unparsable field cut to the prefix the reader
+    quotes (the reference quotes the whole field)."""
+    head, sep, quoted = message.partition("could not convert string to float: ")
+    if not sep:
+        return message
+    field = ast.literal_eval(quoted)
+    if len(field) <= pipeline.MAX_QUOTED_CHARS:
+        return message
+    return (f"{head}{sep}{field[:pipeline.MAX_QUOTED_CHARS]!r}... "
+            f"({len(field)} characters)")
+
+
+JUNK_TOKENS = [*"0123456789", ".", "e", "-", "_", "nan", "inf", " ", "\t",
+               "\x0c", '"', ",", "#"]
+NUMBER_FORMATS = ["{!r}", "{:.6e}", " {} ", "\t{}", "{}\x0c", "{:+}", "{:_}",
+                  '"{}"', "{:.2f}"]
+
+
+@st.composite
+def trial_texts(draw):
+    """Small trial files: mostly well-formed rows, some broken ones."""
+    columns = draw(st.sampled_from([("time_s", "gyro"), ("gyro", "time_s"),
+                                    ("time_s", "acc", "gyro"),
+                                    ("time_s", "gyro", "acc")]))
+    junk = st.lists(st.sampled_from(JUNK_TOKENS), max_size=4).map("".join)
+    changes = ["none"] * draw(st.sampled_from([1, 30])) + [
+        "junk", "short", "extra", "blank"]
+    t0 = draw(st.sampled_from([-5.0, 0.0, 1000.0]))
+    number = draw(st.sampled_from(NUMBER_FORMATS))
+    lines = [",".join(columns)]
+    for i in range(draw(st.integers(0, 14))):
+        good = {"time_s": t0 + 0.25 * i, "gyro": draw(st.floats(-2e3, 2e3)),
+                "acc": 1.0}
+        fields = [number.format(good[c]) for c in columns]
+        change = draw(st.sampled_from(changes))
+        if change == "junk":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(junk)
+        elif change == "short":
+            fields = fields[:draw(st.integers(0, len(fields) - 1))]
+        elif change == "extra":
+            fields.append(draw(junk))
+        elif change == "blank":
+            lines.append("")
+        lines.append(",".join(fields))
+    ends = st.sampled_from(["\n", "\r", "\r\n"])
+    text = "".join(line + draw(ends) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
 class TestConfig:
@@ -236,6 +337,22 @@ class TestManifest:
                            match=rf"m\.csv: .*'{dup}' {count} times"):
             load_manifest(m)
 
+    def test_undecodable_bytes_name_file_and_line(self, tmp_path):
+        m = tmp_path / "m.csv"
+        m.write_bytes(b"participant_id,cohort,trial_path\nP1,healthy,a.csv\n"
+                      b"P2,healthy,b\xe9.csv\n")
+        with pytest.raises(ManifestError,
+                           match=r"m\.csv:3: 'utf-8' codec can't decode byte 0xe9"):
+            load_manifest(m)
+
+    def test_oversized_field_names_line(self, tmp_path):
+        m = tmp_path / "m.csv"
+        m.write_text("participant_id,cohort,trial_path\nP1,healthy,a.csv\n"
+                     f"P2,healthy,{'b' * 200_000}.csv\n")
+        with pytest.raises(ManifestError,
+                           match=r"m\.csv:3: field larger than field limit"):
+            load_manifest(m)
+
 
 class TestIngest:
     def test_empty_manifest(self, tmp_path):
@@ -356,6 +473,89 @@ class TestIngest:
         assert len(result.items) == 1
         assert len(result.skipped) == 1
         assert result.skipped[0][0] == "P2"
+
+    def test_undecodable_bytes_name_file_and_line(self, tmp_path):
+        (tmp_path / "a.csv").write_bytes(
+            b"time_s,gyro\r\n0.0,1.0\r\n0.1,\xff2.0\r\n0.2,1.0\r\n")
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "healthy", "a.csv", "", ""]])
+        with pytest.raises(ManifestError,
+                           match=r"a\.csv:3: 'utf-8' codec can't decode byte 0xff"):
+            ingest(m, PipelineConfig())
+
+    def test_stray_quote_quotes_a_short_prefix(self, tmp_path):
+        t = np.linspace(0, 2, 40)
+        rows = [[f"{ti:.6f}", f"{np.sin(ti):.6f}"] for ti in t]
+        rows[4][1] = '"' + rows[4][1]  # opens a field that never closes
+        (tmp_path / "a.csv").write_text(
+            "time_s,gyro\n" + "".join(",".join(r) + "\n" for r in rows))
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "healthy", "a.csv", "", ""]])
+        result = ingest(m, PipelineConfig(), skip_bad=True)
+        reason = result.skipped[0][1]
+        field = f"{np.sin(t[4]):.6f}\n" + "".join(
+            ",".join(r) + "\n" for r in rows[5:])
+        quoted = repr(field[:pipeline.MAX_QUOTED_CHARS])
+        # the field runs to the end of the file, so csv's row ends on line 41
+        assert reason.endswith(f"a.csv:41: could not convert string to float: "
+                               f"{quoted}... ({len(field)} characters)")
+
+
+class TestTrialReaders:
+    """`_read_trial` (numpy's reader, the row reader as fallback) against
+    the original per-row reader."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=trial_texts())
+    @example(text="time_s,gyro\n" + "".join(f"0.{i},1\n" for i in range(9))
+             + '0.95,2,"x\n0.96,3,y"\n')
+    @example(text="time_s,gyro\n" + "".join(f"{i}_0,١{i}\n" for i in range(9)))
+    @example(text="time_s,gyro\n" + "".join(f"{i},{i}#x\n" for i in range(9)))
+    def test_matches_row_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("trial") / "a.csv"
+        path.write_bytes(text.encode())
+        want = read_outcome(reference_read_trial, path)
+        got = read_outcome(pipeline._read_trial, path)
+        assert got[0] == want[0], (got, want)
+        if want[0] == "ok":
+            for g, w in zip(got[1:], want[1:]):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+        else:
+            assert got[1:] == (want[1], quoted_as_reader_quotes(want[2]))
+
+    def test_well_formed_files_skip_row_reader(self, cohort_dir, tmp_path,
+                                               monkeypatch):
+        def no_row_reader(*args):
+            raise AssertionError("row reader used for a well-formed file")
+
+        t = np.linspace(0, 2, 40)
+        rows = [f" {ti:.6e}\t,{math.sin(ti)!r},x" for ti in t]
+        (tmp_path / "crlf.csv").write_bytes(
+            ("time_s,gyro,note\r\n" + "\r\n".join(rows) + "\r\n\r\n").encode())
+        m = extend_manifest(cohort_dir, "with_crlf.csv",
+                            [trial_row("PC", str(tmp_path / "crlf.csv"))])
+        monkeypatch.setattr(pipeline, "_read_rows", no_row_reader)
+        got = ingest(m, PipelineConfig(grid_n=31))
+        assert len(got.items) == 6 and not got.skipped
+
+    @pytest.mark.parametrize("body, n", [("", 0), ("\n\r\n\r", 0),
+                                         ("0,1\n0.1,2\n0.2,1\n", 3)])
+    def test_short_file_warns_nothing(self, tmp_path, body, n):
+        path = tmp_path / "a.csv"
+        path.write_bytes(("time_s,gyro\n" + body).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ManifestError,
+                               match=rf"a\.csv: fewer than 8 samples \({n}\)"):
+                pipeline._read_trial(path, "gyro")
+
+    def test_long_finite_number_accepted(self, tmp_path):
+        # past csv's field size limit, which only the row reader has
+        rows = [f"{i},{i % 3}" for i in range(9)]
+        rows[4] = "4," + "0" * 200_000 + "1.5"
+        (tmp_path / "a.csv").write_text("time_s,gyro\n" + "\n".join(rows))
+        rec = pipeline._read_trial(tmp_path / "a.csv", "gyro")
+        assert rec.samples[4] == 1.5
 
 
 class TestRunPipeline:
@@ -478,6 +678,21 @@ class TestCli:
         assert [s["label"] for s in stats["skipped"]] == ["PC"]
         assert "constant signal" in stats["skipped"][0]["reason"]
         assert len(stats["distances"]) == 5
+
+    def test_oversized_field_trial_skipped(self, cohort_dir, tmp_path):
+        rows = [f"{i / 50},{math.sin(i / 10)}" for i in range(100)]
+        rows[10] = "0.2," + "x" * 200_000  # past csv's field size limit
+        (cohort_dir.parent / "huge.csv").write_text(
+            "time_s,gyro\n" + "\n".join(rows) + "\n")
+        m = extend_manifest(cohort_dir, "with_huge.csv",
+                            [trial_row("PH", "huge.csv")])
+        out = tmp_path / "r"
+        rc = main(["distances", "--manifest", str(m), "--out", str(out),
+                   "--skip-bad", "--grid-n", "61", "--mean-max-iter", "10"])
+        assert rc == 0
+        with (out / "distances.csv").open() as fh:
+            scored = [row["participant"] for row in csv.DictReader(fh)]
+        assert len(scored) == 5 and "PH" not in scored
 
     def test_stages_stop_before_matrices(self, cohort_dir, tmp_path,
                                          monkeypatch):
