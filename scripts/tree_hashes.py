@@ -7,8 +7,11 @@ Writes the planted cohort (`write_cohort` seed 1234) and the null cohort
 (seed 99, `null_effect=True`) into a temporary directory, runs all six CLI
 subcommands on each at the default config, and prints one line per run:
 the sha256 of its output tree and of its stdout. A tree's hash is the
-sha256 of its sorted "<relative path> <file sha256>" lines. Run it in two
-checkouts and diff the output to show a change keeps every output
+sha256 of its sorted "<relative path> <file sha256>" lines. Last, it
+writes a long cohort shaped like the benchmark's `ingest_long_m40` (20 + 20
+trials, 1 kHz x 30 s, seed 1234) and prints the sha256 of its ingested
+trajectories' value bytes, since `ingest-check` prints no values. Run it in
+two checkouts and diff the output to show a change keeps every output
 byte-identical. The `motionshape` imported is the one in this checkout.
 """
 
@@ -23,10 +26,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from motionshape.cli import main as cli_main  # noqa: E402
+from motionshape.pipeline import PipelineConfig, ingest  # noqa: E402
 from motionshape.synthetic import write_cohort  # noqa: E402
 
 COHORTS = {"planted": dict(seed=1234), "null": dict(seed=99, null_effect=True)}
 COMMANDS = ("ingest-check", "mean", "align", "distances", "stats", "report")
+LONG_COHORT = dict(n_healthy=20, n_patients=20, rate_hz=1000.0,
+                   duration_s=30.0, seed=1234)
 
 
 def tree_hash(root: Path) -> str:
@@ -58,6 +64,11 @@ def main() -> int:
                 tree = tree_hash(out) if out.exists() else "-"
                 print(f"{cohort:8s} {command:12s} tree {tree} "
                       f"stdout {stdout} rc {rc}")
+        manifest = write_cohort(Path("long"), **LONG_COHORT)
+        values = hashlib.sha256()
+        for trajectory in ingest(manifest, PipelineConfig()).trajectories:
+            values.update(trajectory.values.tobytes())
+        print(f"{'long':8s} {'ingest':12s} values {values.hexdigest()}")
     return 0
 
 

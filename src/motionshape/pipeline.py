@@ -76,6 +76,8 @@ class ManifestError(ValueError):
 # a number that fails to parse is quoted in the error up to this many
 # characters; a stray quote can turn the rest of a file into one field
 MAX_QUOTED_CHARS = 40
+# numpy's loadtxt decompresses a file named with one of these suffixes
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _open_text(path: Path) -> tuple[str, io.TextIOWrapper]:
@@ -175,7 +177,8 @@ class PipelineConfig:
         types = {f.name: type(f.default) for f in fields(cls)}
         raw: dict = {}
         line_of: dict = {}
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        text, _ = _open_text(path)
+        for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
@@ -286,13 +289,19 @@ def _trial_labels(entries: list[ManifestEntry]) -> list[str]:
 def _read_trial(path: Path, channel: str) -> RawRecording:
     """One trial CSV's `time_s` and channel columns.
 
-    numpy's C reader parses the data rows. A file it refuses, or whose
-    values fail a check, is re-read by `_read_rows`, which gives the same
-    values or names the bad line.
+    numpy's C reader parses the data rows, reading the file again by name.
+    A file it refuses, whose values fail a check, or that changed between
+    the two reads, is parsed from the first read by `_read_rows`, which
+    gives the same values or names the bad line. A file that cannot be
+    read raises ManifestError naming it.
     """
     if not path.is_file():
         raise ManifestError(f"trial file not found: {path}")
-    text, lines = _open_text(path)
+    try:
+        before = path.stat()
+        text, lines = _open_text(path)
+    except OSError as exc:
+        raise ManifestError(f"{path}: {exc.strerror or exc}") from exc
     _, header = next(_csv_rows(path, lines), (0, []))
     for name, what in (("time_s", "required column"),
                        (channel, "channel column")):
@@ -302,17 +311,25 @@ def _read_trial(path: Path, channel: str) -> RawRecording:
             raise ManifestError(f"{path}: header names column {name!r} "
                                 f"{header.count(name)} times")
     ti, ci = header.index("time_s"), header.index(channel)
-    # numpy's reader does not join a quoted field across lines, and warns
-    # on a body without rows. Without quotes the header is line 1, so a
-    # data row is a line break followed by anything but another one.
-    if '"' not in text and re.search(r"[\r\n][^\r\n]", text):
+    # numpy opens a name with a compressed suffix through a decompressor.
+    # Its reader does not join a quoted field across lines, strips
+    # \x1c-\x1f as whitespace where float() refuses them, and warns on a
+    # body without rows. Without quotes the header is line 1, so a data row
+    # is a line break followed by anything but another one.
+    if (path.suffix not in _COMPRESSED_SUFFIXES
+            and not any(c in text for c in '"\x1c\x1d\x1e\x1f')
+            and re.search(r"[\r\n][^\r\n]", text)):
         try:
-            data = np.loadtxt(lines, delimiter=",", comments=None,
-                              usecols=(ti, ci), ndmin=2)
-            if len(data) >= 8:
+            data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1,
+                              usecols=(ti, ci), ndmin=2,
+                              encoding=lines.encoding)
+            after = path.stat()
+            if ((after.st_size, after.st_mtime_ns)
+                    == (before.st_size, before.st_mtime_ns)
+                    and len(data) >= 8):
                 times, values = data.T.copy()
                 return RawRecording(times, values)
-        except ValueError:  # a parse error or a failed RawRecording check
+        except (ValueError, OSError):  # or a failed RawRecording check
             pass
     return _read_rows(path, text, ti, ci)
 

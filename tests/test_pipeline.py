@@ -1,5 +1,6 @@
 import ast
 import csv
+import errno
 import json
 import math
 import os
@@ -142,7 +143,8 @@ def quoted_as_reader_quotes(message):
 
 
 JUNK_TOKENS = [*"0123456789", ".", "e", "-", "_", "nan", "inf", " ", "\t",
-               "\x0c", '"', ",", "#"]
+               "\x0b", "\x0c", *"\x1c\x1d\x1e\x1f", "\x85", "\xa0", "\u2028",
+               '"', ",", "#"]
 NUMBER_FORMATS = ["{!r}", "{:.6e}", " {} ", "\t{}", "{}\x0c", "{:+}", "{:_}",
                   '"{}"', "{:.2f}"]
 
@@ -483,6 +485,24 @@ class TestIngest:
                            match=r"a\.csv:3: 'utf-8' codec can't decode byte 0xff"):
             ingest(m, PipelineConfig())
 
+    def test_unreadable_trial_names_file(self, cohort_dir, monkeypatch):
+        read_bytes = Path.read_bytes
+        trial = (cohort_dir.parent / "healthy_02.csv").resolve()
+
+        def refuse(self):
+            if self == trial:
+                raise PermissionError(errno.EACCES, "Permission denied",
+                                      str(self))
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        result = ingest(cohort_dir, PipelineConfig(grid_n=31), skip_bad=True)
+        assert result.skipped == [("H02", f"{trial}: Permission denied")]
+        assert len(result.items) == 4
+        with pytest.raises(ManifestError,
+                           match=rf"healthy_02\.csv: Permission denied$"):
+            ingest(cohort_dir, PipelineConfig(grid_n=31))
+
     def test_stray_quote_quotes_a_short_prefix(self, tmp_path):
         t = np.linspace(0, 2, 40)
         rows = [[f"{ti:.6f}", f"{np.sin(ti):.6f}"] for ti in t]
@@ -511,6 +531,8 @@ class TestTrialReaders:
              + '0.95,2,"x\n0.96,3,y"\n')
     @example(text="time_s,gyro\n" + "".join(f"{i}_0,١{i}\n" for i in range(9)))
     @example(text="time_s,gyro\n" + "".join(f"{i},{i}#x\n" for i in range(9)))
+    @example(text="time_s,gyro\n"
+             + "".join(f"\x1c{i}\x1d,\x1e{i}\x1f\n" for i in range(9)))
     def test_matches_row_reference(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("trial") / "a.csv"
         path.write_bytes(text.encode())
@@ -537,6 +559,57 @@ class TestTrialReaders:
         monkeypatch.setattr(pipeline, "_read_rows", no_row_reader)
         got = ingest(m, PipelineConfig(grid_n=31))
         assert len(got.items) == 6 and not got.skipped
+
+    def test_compressed_suffixes_are_numpys(self):
+        openers = np.lib._datasource._file_openers.keys()
+        assert set(pipeline._COMPRESSED_SUFFIXES) == set(openers) - {None}
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_read_as_plain_text(self, tmp_path, monkeypatch,
+                                                  suffix):
+        loadtxt, calls = np.loadtxt, []
+
+        def spy(fname, *args, **kwargs):
+            calls.append(fname)
+            return loadtxt(fname, *args, **kwargs)
+
+        text = "time_s,gyro\n" + "".join(f"{i / 10},{i % 3}\n" for i in range(9))
+        plain, named = tmp_path / "t.csv", tmp_path / f"t.csv{suffix}"
+        plain.write_text(text)
+        named.write_text(text)
+        monkeypatch.setattr(pipeline.np, "loadtxt", spy)
+        want = pipeline._read_trial(plain, "gyro")
+        assert calls == [plain]
+        got = pipeline._read_trial(named, "gyro")
+        assert calls == [plain]
+        assert np.array_equal(got.timestamps, want.timestamps)
+        assert np.array_equal(got.samples, want.samples)
+
+    @pytest.mark.parametrize("change", ["size", "mtime"])
+    def test_file_changed_between_reads_gives_first_read(self, tmp_path,
+                                                         monkeypatch, change):
+        loadtxt = np.loadtxt
+        path = tmp_path / "a.csv"
+        path.write_text("time_s,gyro\n"
+                        + "".join(f"{i},{i % 3 + 1}\n" for i in range(9)))
+        first = path.stat()
+
+        def rewrite_then_load(*args, **kwargs):
+            if change == "size":  # longer, with the old mtime
+                path.write_text("time_s,gyro\n"
+                                + "".join(f"{i},{i + 10}\n" for i in range(9)))
+                os.utime(path, ns=(first.st_atime_ns, first.st_mtime_ns))
+            else:  # the same size, one second newer
+                path.write_text("time_s,gyro\n"
+                                + "".join(f"{i},{i % 3 + 4}\n" for i in range(9)))
+                os.utime(path, ns=(first.st_atime_ns,
+                                   first.st_mtime_ns + 10**9))
+            assert (path.stat().st_size == first.st_size) == (change == "mtime")
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline.np, "loadtxt", rewrite_then_load)
+        rec = pipeline._read_trial(path, "gyro")
+        assert rec.samples.tolist() == [i % 3 + 1 for i in range(9)]
 
     @pytest.mark.parametrize("body, n", [("", 0), ("\n\r\n\r", 0),
                                          ("0,1\n0.1,2\n0.2,1\n", 3)])
@@ -728,6 +801,16 @@ class TestCli:
                    "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         assert (out / "distances.csv").is_file()
+
+    def test_undecodable_config_names_file_and_line(self, cohort_dir,
+                                                    tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"grid_n = 61\nmean_max_iter = \xff10\n")
+        rc = main(["distances", "--manifest", str(cohort_dir),
+                   "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}:2: 'utf-8' codec can't decode byte 0xff")
 
     def test_import_loads_no_scipy(self):
         # scipy is a test-only oracle; importing it costs ~1.2 s per run
