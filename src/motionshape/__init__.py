@@ -23,6 +23,7 @@ from .core import (
 )
 from .preprocess import RawRecording, butterworth_lowpass, derivative, resample
 from .registration import (
+    Alignment,
     RegistrationResult,
     align_to_reference,
     alignment_cost,

@@ -38,13 +38,10 @@ from .preprocess import (PADLEN_PER_ORDER, RawRecording, butterworth_lowpass,
                          derivative, resample)
 from .registration import (
     MIN_SIGNAL_NORM,
+    Alignment,
     RegistrationResult,
     align_to_reference,
-    cosine_distance,
-    group_action,
     phase_amplitude_separation,
-    phase_distance,
-    to_srvf,
 )
 
 __all__ = [
@@ -73,6 +70,14 @@ class ManifestError(ValueError):
     """Manifest or trial file problem, with file/row context in the message."""
 
 
+class ConfigFieldError(ManifestError):
+    """Config values out of range; `fields` names the ones at fault."""
+
+    def __init__(self, message: str, fields: tuple[str, ...]):
+        super().__init__(message)
+        self.fields = fields
+
+
 # a number that fails to parse is quoted in the error up to this many
 # characters; a stray quote can turn the rest of a file into one field
 MAX_QUOTED_CHARS = 40
@@ -99,14 +104,17 @@ def _open_text(path: Path) -> tuple[str, io.TextIOWrapper]:
 
 def _csv_rows(path: Path,
               lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each csv row read from `lines`, blank rows
-    included; a csv.Error raises ManifestError naming the file and line."""
+    """(number of the line it starts on, fields) of each csv row read from
+    `lines`, blank rows included; a csv.Error raises ManifestError naming
+    the file and the line its row starts on."""
     reader = csv.reader(lines)
+    start = 1
     try:
         for row in reader:
-            yield reader.line_num, row
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
-        raise ManifestError(f"{path}:{reader.line_num}: {exc}") from exc
+        raise ManifestError(f"{path}:{start}: {exc}") from exc
 
 
 def _to_float(field: str) -> float:
@@ -156,15 +164,14 @@ class PipelineConfig:
     def __post_init__(self):
         for name, (valid, expected) in _CONFIG_RULES.items():
             if not valid(getattr(self, name)):
-                raise ManifestError(
+                raise ConfigFieldError(
                     f"config field {name}={getattr(self, name)!r} "
-                    f"out of range (expected {expected})"
-                )
+                    f"out of range (expected {expected})", (name,))
         if self.grid_n <= PADLEN_PER_ORDER * self.filter_order:
-            raise ManifestError(
+            raise ConfigFieldError(
                 f"config field grid_n={self.grid_n} must exceed the filter's "
                 f"edge padding, {PADLEN_PER_ORDER} x filter_order="
-                f"{self.filter_order}")
+                f"{self.filter_order}", ("grid_n", "filter_order"))
 
     @classmethod
     def from_file(cls, path: Path | str,
@@ -177,8 +184,9 @@ class PipelineConfig:
         types = {f.name: type(f.default) for f in fields(cls)}
         raw: dict = {}
         line_of: dict = {}
-        text, _ = _open_text(path)
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        _, lines = _open_text(path)
+        for lineno, line in enumerate(lines, start=1):
+            line = line.rstrip("\r\n")
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
@@ -195,16 +203,17 @@ class PipelineConfig:
             except ValueError as exc:
                 raise ManifestError(f"{path}:{lineno}: field {key}: {exc}") from exc
             line_of[key] = lineno
-        if overrides:
-            raw.update(overrides)
+        for key, value in (overrides or {}).items():
+            raw[key] = value
+            line_of.pop(key, None)
         try:
             return cls(**raw)
-        except ManifestError as exc:
-            # point at the offending line when the bad value came from the file
-            for name, lineno in line_of.items():
-                if f"field {name}=" in str(exc) and name not in (overrides or {}):
-                    raise ManifestError(f"{path}:{lineno}: {exc}") from exc
-            raise ManifestError(f"{path}: {exc}") from exc
+        except ConfigFieldError as exc:
+            # name the file only when a value at fault came from it
+            for name in exc.fields:
+                if name in line_of:
+                    raise ManifestError(f"{path}:{line_of[name]}: {exc}") from exc
+            raise
 
 
 def load_manifest(path: Path | str) -> list[ManifestEntry]:
@@ -505,19 +514,9 @@ def score_against_mean(items: list[IngestedTrial], mean: Trajectory,
     """Align every trial to the mean; return (scores, alignment)."""
     alignment = align_to_reference([it.trajectory for it in items], mean,
                                    max_slope=config.dp_max_slope)
-    q_mean = to_srvf(mean)
-    scores = []
-    for it, warp, aligned in zip(items, alignment.warps, alignment.aligned):
-        q_i = to_srvf(it.trajectory)
-        amp = l2_norm(q_mean.q - group_action(q_i, warp).q, mean.grid)
-        triple = DistanceTriple(
-            amplitude=amp,
-            phase=phase_distance(warp),
-            cosine=cosine_distance(mean, aligned),
-        )
-        scores.append(ParticipantScore(it.label, it.entry.cohort,
-                                       it.entry.brooke_score,
-                                       it.entry.dynamometry, triple))
+    scores = [ParticipantScore(it.label, it.entry.cohort, it.entry.brooke_score,
+                               it.entry.dynamometry, triple)
+              for it, triple in zip(items, alignment.distances)]
     return scores, alignment
 
 
@@ -584,7 +583,7 @@ class Run:
 
     ingested: IngestResult
     separation: RegistrationResult | None = None
-    alignment: RegistrationResult | None = None
+    alignment: Alignment | None = None
     scores: list[ParticipantScore] | None = None
     report: CohortReport | None = None
 
@@ -675,9 +674,9 @@ def write_mean_csv(path: Path, mean: Trajectory) -> None:
 
 
 def write_alignment_csvs(out_dir: Path, labels: list[str],
-                         alignment: RegistrationResult) -> None:
+                         alignment: Alignment) -> None:
     """aligned_curves.csv and warps.csv, one row per trial and grid point."""
-    pts = alignment.mean.grid.points
+    pts = alignment.warps[0].grid.points
     curve_rows, warp_rows = [], []
     for label, aligned, warp in zip(labels, alignment.aligned, alignment.warps):
         curve_rows += [[label, _fmt(t), _fmt(v)]

@@ -69,17 +69,6 @@ def resample(rec: RawRecording, n: int) -> Trajectory:
     return Trajectory(grid, np.interp(query, rec.timestamps, rec.samples))
 
 
-def _poly(roots: np.ndarray) -> np.ndarray:
-    # monic polynomial with these roots, highest power first, by np.poly's
-    # convolutions; real when the roots are real or come in conjugate pairs
-    coeffs = np.ones(1, dtype=roots.dtype)
-    for r in roots:
-        coeffs = np.convolve(coeffs, [1.0, -r])
-    if np.array_equal(np.sort(roots.imag), np.sort(-roots.imag)):
-        coeffs = coeffs.real
-    return coeffs
-
-
 def _butter_lowpass_ba(order: int, cutoff_ratio: float):
     # analog prototype poles on the unit circle, the cutoff prewarped for the
     # bilinear transform s -> 4 (z - 1) / (z + 1) (sample rate 2, Nyquist 1);
@@ -91,7 +80,7 @@ def _butter_lowpass_ba(order: int, cutoff_ratio: float):
     fs2 = 4.0
     poles_z = (fs2 + poles) / (fs2 - poles)
     gain_z = warped**order * np.real(np.float64(1.0) / np.prod(fs2 - poles))
-    return gain_z * _poly(-np.ones(order)), _poly(poles_z)
+    return gain_z * np.poly(-np.ones(order)), np.poly(poles_z)
 
 
 def _steady_state(b: np.ndarray, a: np.ndarray) -> np.ndarray:

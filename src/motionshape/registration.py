@@ -18,6 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     DegenerateInputError,
+    DistanceTriple,
     SrvfCurve,
     TimeGrid,
     Trajectory,
@@ -30,6 +31,7 @@ from .preprocess import derivative
 
 __all__ = [
     "RegistrationResult",
+    "Alignment",
     "to_srvf",
     "from_srvf",
     "group_action",
@@ -57,6 +59,16 @@ class RegistrationResult:
     aligned: list[Trajectory]
     iterations: int
     converged: bool
+
+
+@dataclass(frozen=True)
+class Alignment:
+    """Per-curve warps onto a fixed reference, the aligned signals, and
+    each curve's distances from the reference."""
+
+    warps: list[Warping]
+    aligned: list[Trajectory]
+    distances: list[DistanceTriple]
 
 
 def to_srvf(traj: Trajectory) -> SrvfCurve:
@@ -309,11 +321,27 @@ def phase_amplitude_separation(curves: list[Trajectory], max_iter: int = 20,
 
 
 def align_to_reference(curves: list[Trajectory], reference: Trajectory,
-                       max_slope: int = DEFAULT_MAX_SLOPE) -> RegistrationResult:
-    """Single-pass alignment of each curve to a fixed reference."""
-    common_grid(curves)  # no curves: InsufficientDataError
+                       max_slope: int = DEFAULT_MAX_SLOPE) -> Alignment:
+    """Single-pass alignment of each curve to a fixed reference, scored.
+
+    Each curve's distances are the amplitude distance under its warp, the
+    warp's phase distance and the cosine distance of the aligned curve.
+    A curve or reference whose L2 norm is below MIN_SIGNAL_NORM has no
+    cosine distance, so it raises DegenerateInputError.
+    """
+    grid = common_grid(curves)  # no curves: InsufficientDataError
     common_grid([reference, *curves])
     q_ref = to_srvf(reference)
-    warps = [optimal_warping(q_ref, to_srvf(c), max_slope) for c in curves]
-    aligned = [warped_copy(c, w) for c, w in zip(curves, warps)]
-    return RegistrationResult(reference, warps, aligned, iterations=1, converged=True)
+    warps, aligned, distances = [], [], []
+    for c in curves:
+        q = to_srvf(c)
+        w = optimal_warping(q_ref, q, max_slope)
+        a = warped_copy(c, w)
+        warps.append(w)
+        aligned.append(a)
+        distances.append(DistanceTriple(
+            amplitude=l2_norm(q_ref.q - group_action(q, w).q, grid),
+            phase=phase_distance(w),
+            cosine=cosine_distance(reference, a),
+        ))
+    return Alignment(warps, aligned, distances)

@@ -99,7 +99,9 @@ def reference_read_trial(path, channel):
                 raise ManifestError(f"{path}: header names column {name!r} "
                                     f"{header.count(name)} times")
         ti, ci = header.index("time_s"), header.index(channel)
+        start = reader.line_num + 1  # errors name the line a row starts on
         for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row:  # blank line
                 continue
             try:
@@ -109,10 +111,10 @@ def reference_read_trial(path, channel):
                 if times and t <= times[-1]:
                     raise ValueError("timestamps not strictly increasing")
             except IndexError:
-                raise ManifestError(f"{path}:{reader.line_num}: row is shorter "
+                raise ManifestError(f"{path}:{lineno}: row is shorter "
                                     f"than the header") from None
             except ValueError as exc:
-                raise ManifestError(f"{path}:{reader.line_num}: {exc}") from exc
+                raise ManifestError(f"{path}:{lineno}: {exc}") from exc
             times.append(t)
             values.append(v)
     if len(times) < 8:
@@ -231,6 +233,33 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "grid_n=8" in err and "filter_order=3" in err
 
+    def test_line_numbers_count_only_line_breaks(self, tmp_path):
+        # \x0c and \x85 end a line for str.splitlines, not for the csv readers
+        f = tmp_path / "cfg.txt"
+        f.write_text("grid_n = 61\x0c\nmean_max_iter = 10\x85\nfoo = 1\n")
+        with pytest.raises(ManifestError,
+                           match=r"cfg\.txt:3: unknown config key 'foo'"):
+            PipelineConfig.from_file(f)
+
+    @pytest.mark.parametrize("text, flags, where", [
+        ("cutoff_ratio = 0.2\n", ["--cutoff-ratio", "2"], ""),
+        ("grid_n = 61\n", ["--cutoff-ratio", "2"], ""),
+        ("grid_n = 61\ncutoff_ratio = 2\n", [], "{cfg}:2: "),
+        ("filter_order = 4\ngrid_n = 12\n", [], "{cfg}:2: "),
+        ("grid_n = 12\n", ["--filter-order", "4"], "{cfg}:1: "),
+        ("filter_order = 4\n", ["--grid-n", "12"], "{cfg}:1: "),
+        ("mean_tol = 0.1\n", ["--grid-n", "12", "--filter-order", "4"], ""),
+    ], ids=["flag over file", "flag", "file", "file pair", "file grid_n",
+            "file filter_order", "flag pair"])
+    def test_error_names_file_only_for_its_values(self, tmp_path, capsys,
+                                                  text, flags, where):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert main(["ingest-check", "--manifest", "unused.csv",
+                     "--config", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + where.format(cfg=cfg) + "config field ")
+
     def test_overrides_win(self, tmp_path):
         f = tmp_path / "cfg.txt"
         f.write_text("grid_n = 61\n")
@@ -316,6 +345,17 @@ class TestManifest:
         m.write_text("participant_id,cohort,trial_path\n"
                      "P1,healthy,a.csv\n\n\nP2,control,b.csv\n")
         with pytest.raises(ManifestError, match=r"m\.csv:5: .*control"):
+            load_manifest(m)
+
+    @pytest.mark.parametrize("pid, error", [
+        ('"P2\nx"', "cohort 'control'"),
+        (f'"P2\n{"b" * 200_000}"', "field larger than field limit"),
+    ], ids=["row error", "csv error"])
+    def test_row_spanning_lines_names_its_first(self, tmp_path, pid, error):
+        m = tmp_path / "m.csv"
+        m.write_text("participant_id,cohort,trial_path\nP1,healthy,a.csv\n"
+                     f"{pid},control,b.csv\n")
+        with pytest.raises(ManifestError, match=rf"m\.csv:3: {error}"):
             load_manifest(m)
 
     def test_short_row_lacks_optional_fields(self, tmp_path):
@@ -516,8 +556,8 @@ class TestIngest:
         field = f"{np.sin(t[4]):.6f}\n" + "".join(
             ",".join(r) + "\n" for r in rows[5:])
         quoted = repr(field[:pipeline.MAX_QUOTED_CHARS])
-        # the field runs to the end of the file, so csv's row ends on line 41
-        assert reason.endswith(f"a.csv:41: could not convert string to float: "
+        # the field runs to the end of the file; its row starts on line 6
+        assert reason.endswith(f"a.csv:6: could not convert string to float: "
                                f"{quoted}... ({len(field)} characters)")
 
 

@@ -422,7 +422,28 @@ class TestAlignToReference:
     def test_reference_itself(self, wavy101):
         res = align_to_reference([wavy101], wavy101)
         assert np.abs(res.warps[0].gamma - wavy101.grid.points).max() <= 1e-9
-        assert res.mean is wavy101
+        d = res.distances[0]
+        assert max(abs(d.amplitude), abs(d.phase), abs(d.cosine)) <= 1e-9
+
+    def test_distances_follow_from_returned_warps(self, grid101, wavy101):
+        rng = np.random.default_rng(15)
+        g0 = random_smooth_warp(grid101, rng, scale=0.4)
+        curve = warped_copy(wavy101, g0)
+        res = align_to_reference([curve], wavy101)
+        (w,), (a,), (d,) = res.warps, res.aligned, res.distances
+        q_ref = to_srvf(wavy101)
+        assert d.amplitude == l2_norm(
+            q_ref.q - group_action(to_srvf(curve), w).q, grid101)
+        assert d.phase == phase_distance(w)
+        assert d.cosine == cosine_distance(wavy101, a)
+        assert d.phase > 0.01
+
+    def test_flat_signal_rejected(self, grid101, wavy101):
+        flat = Trajectory(grid101, np.zeros(grid101.n))
+        with pytest.raises(DegenerateInputError):
+            align_to_reference([flat], wavy101)
+        with pytest.raises(DegenerateInputError):
+            align_to_reference([wavy101], flat)
 
     def test_recovers_inverse(self, grid101, wavy101):
         rng = np.random.default_rng(14)
