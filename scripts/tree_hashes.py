@@ -10,8 +10,11 @@ the sha256 of its output tree and of its stdout. A tree's hash is the
 sha256 of its sorted "<relative path> <file sha256>" lines. Last, it
 writes a long cohort shaped like the benchmark's `ingest_long_m40` (20 + 20
 trials, 1 kHz x 30 s, seed 1234) and prints the sha256 of its ingested
-trajectories' value bytes, since `ingest-check` prints no values. Run it in
-two checkouts and diff the output to show a change keeps every output
+trajectories' value bytes, since `ingest-check` prints no values, and the
+sha256 of `pairwise_matrix`'s value bytes for each metric it accepts, with
+and without registration, on the first 8 planted trials, since no output
+file holds the registered amplitude or phase matrix. Run it in two
+checkouts and diff the output to show a change keeps every output
 byte-identical. The `motionshape` imported is the one in this checkout.
 """
 
@@ -25,12 +28,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from motionshape.analytics import pairwise_matrix  # noqa: E402
 from motionshape.cli import main as cli_main  # noqa: E402
 from motionshape.pipeline import PipelineConfig, ingest  # noqa: E402
 from motionshape.synthetic import write_cohort  # noqa: E402
 
 COHORTS = {"planted": dict(seed=1234), "null": dict(seed=99, null_effect=True)}
 COMMANDS = ("ingest-check", "mean", "align", "distances", "stats", "report")
+MATRICES = (("amplitude", False), ("amplitude", True), ("cosine", False),
+            ("cosine", True), ("phase", True))
+MATRIX_TRIALS = 8
 LONG_COHORT = dict(n_healthy=20, n_patients=20, rate_hz=1000.0,
                    duration_s=30.0, seed=1234)
 
@@ -52,8 +59,9 @@ def run(argv: list[str]) -> tuple[int, str]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep `report`'s stdout comparable
+        manifests = {}
         for cohort, kwargs in COHORTS.items():
-            manifest = write_cohort(Path(cohort), **kwargs)
+            manifest = manifests[cohort] = write_cohort(Path(cohort), **kwargs)
             print(f"{cohort:8s} {'cohort':12s} tree {tree_hash(Path(cohort))}")
             for command in COMMANDS:
                 out = Path("out") / cohort / command
@@ -64,11 +72,20 @@ def main() -> int:
                 tree = tree_hash(out) if out.exists() else "-"
                 print(f"{cohort:8s} {command:12s} tree {tree} "
                       f"stdout {stdout} rc {rc}")
+        config = PipelineConfig()
         manifest = write_cohort(Path("long"), **LONG_COHORT)
         values = hashlib.sha256()
-        for trajectory in ingest(manifest, PipelineConfig()).trajectories:
+        for trajectory in ingest(manifest, config).trajectories:
             values.update(trajectory.values.tobytes())
         print(f"{'long':8s} {'ingest':12s} values {values.hexdigest()}")
+        curves = ingest(manifests["planted"],
+                        config).trajectories[:MATRIX_TRIALS]
+        for metric, registered in MATRICES:
+            matrix = pairwise_matrix(curves, metric, registered,
+                                     config.dp_max_slope)
+            digest = hashlib.sha256(matrix.values.tobytes()).hexdigest()
+            name = f"{metric}_{'post' if registered else 'pre'}"
+            print(f"{'planted':8s} {name:12s} matrix {digest}")
     return 0
 
 

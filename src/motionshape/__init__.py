@@ -9,7 +9,6 @@ from .core import (
     DegenerateInputError,
     DimensionError,
     DistanceTriple,
-    DomainError,
     InsufficientDataError,
     ParameterError,
     SrvfCurve,
@@ -18,7 +17,6 @@ from .core import (
     Warping,
     common_grid,
     inner_product,
-    interp_linear,
     l2_norm,
 )
 from .preprocess import RawRecording, butterworth_lowpass, derivative, resample

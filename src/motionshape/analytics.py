@@ -10,6 +10,7 @@ any statistics library.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import exp, isfinite, lgamma, log, log1p, sqrt
 
 import numpy as np
@@ -25,12 +26,9 @@ from .core import (
 )
 from .registration import (
     DEFAULT_MAX_SLOPE,
+    align_to_reference,
     cosine_distance,
-    group_action,
-    optimal_warping,
-    phase_distance,
     to_srvf,
-    warped_copy,
 )
 
 __all__ = [
@@ -252,10 +250,12 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
                     labels: list[str] | None = None) -> DistanceMatrix:
     """All-pairs distances, optionally after per-pair elastic alignment.
 
-    With `registered`, curve j is warped onto curve i before the metric is
-    evaluated; the slightly asymmetric result is symmetrized as (D + D^T)/2.
-    The phase metric only exists for registered pairs. Rows and columns
-    are named by `labels`, or "0".."m-1" when none are given.
+    With `registered`, row i aligns every other curve onto curve i in one
+    `align_to_reference` call, so each registered metric rejects a curve
+    whose L2 norm is below MIN_SIGNAL_NORM. The slightly asymmetric result
+    is symmetrized as (D + D^T)/2. The phase metric only exists for
+    registered pairs. Rows and columns are named by `labels`, or "0".."m-1"
+    when none are given.
     """
     if metric not in METRICS:
         raise ParameterError(f"unknown metric {metric!r}; pick one of {METRICS}")
@@ -267,25 +267,20 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
     m = len(curves)
     if labels is None:
         labels = [str(i) for i in range(m)]
-    qs = [to_srvf(c) for c in curves]
     d = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            if not registered:
-                if metric == "amplitude":
-                    d[i, j] = l2_norm(qs[i].q - qs[j].q, grid)
-                else:
-                    d[i, j] = cosine_distance(curves[i], curves[j])
-                continue
-            w = optimal_warping(qs[i], qs[j], max_slope)
-            if metric == "phase":
-                d[i, j] = phase_distance(w)
-            elif metric == "amplitude":
-                d[i, j] = l2_norm(qs[i].q - group_action(qs[j], w).q, grid)
-            else:
-                d[i, j] = cosine_distance(curves[i], warped_copy(curves[j], w))
+    if registered:
+        for i in range(m):
+            others = [j for j in range(m) if j != i]
+            row = align_to_reference([curves[j] for j in others], curves[i],
+                                     max_slope)
+            d[i, others] = [getattr(t, metric) for t in row.distances]
+    elif metric == "amplitude":
+        qs = [to_srvf(c).q for c in curves]
+        for i, j in permutations(range(m), 2):
+            d[i, j] = l2_norm(qs[i] - qs[j], grid)
+    else:
+        for i, j in permutations(range(m), 2):
+            d[i, j] = cosine_distance(curves[i], curves[j])
     d = 0.5 * (d + d.T)
     d[d < 0] = 0.0  # cosine can round to -1e-17 on near-identical pairs
     return DistanceMatrix(labels, d)

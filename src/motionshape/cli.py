@@ -124,7 +124,7 @@ def main(argv=None) -> int:
                                                    args.skip_bad)
                    if stage == last)
         print(handler(run, out))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

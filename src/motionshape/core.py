@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "DimensionError",
-    "DomainError",
     "ParameterError",
     "InsufficientDataError",
     "DegenerateInputError",
@@ -25,7 +24,6 @@ __all__ = [
     "common_grid",
     "inner_product",
     "l2_norm",
-    "interp_linear",
 ]
 
 _UNIFORM_TOL = 1e-12
@@ -33,10 +31,6 @@ _UNIFORM_TOL = 1e-12
 
 class DimensionError(ValueError):
     """Inputs whose lengths/grids do not match."""
-
-
-class DomainError(ValueError):
-    """Query points outside the normalized time domain [0, 1]."""
 
 
 class ParameterError(ValueError):
@@ -192,12 +186,3 @@ def inner_product(f: np.ndarray, g: np.ndarray, grid: TimeGrid) -> float:
 def l2_norm(f: np.ndarray, grid: TimeGrid) -> float:
     return float(np.sqrt(max(inner_product(f, f, grid), 0.0)))
 
-
-def interp_linear(traj: Trajectory, at: np.ndarray) -> np.ndarray:
-    """Piecewise-linear interpolation of a trajectory; exact at grid nodes."""
-    at = np.asarray(at, dtype=float)
-    if at.size and (at.min() < -1e-12 or at.max() > 1.0 + 1e-12):
-        raise DomainError(
-            f"query points outside [0, 1]: range [{at.min()}, {at.max()}]"
-        )
-    return np.interp(np.clip(at, 0.0, 1.0), traj.grid.points, traj.values)

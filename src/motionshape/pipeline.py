@@ -13,6 +13,7 @@ import io
 import json
 import math
 import re
+import warnings
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
@@ -329,9 +330,14 @@ def _read_trial(path: Path, channel: str) -> RawRecording:
             and not any(c in text for c in '"\x1c\x1d\x1e\x1f')
             and re.search(r"[\r\n][^\r\n]", text)):
         try:
-            data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1,
-                              usecols=(ti, ci), ndmin=2,
-                              encoding=lines.encoding)
+            with warnings.catch_warnings():
+                # a body emptied since the first read; the stat check
+                # below then discards numpy's empty result
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(path, delimiter=",", comments=None,
+                                  skiprows=1, usecols=(ti, ci), ndmin=2,
+                                  encoding=lines.encoding)
             after = path.stat()
             if ((after.st_size, after.st_mtime_ns)
                     == (before.st_size, before.st_mtime_ns)
@@ -425,7 +431,7 @@ def ingest(manifest_path: Path | str, config: PipelineConfig,
                     f"{slope:.3g} <= {MIN_VARIATION_RATIO:g} x L2 norm "
                     f"{norm:.3g})"
                 )
-        except (ManifestError, ValueError) as exc:
+        except ValueError as exc:  # ManifestError is a ValueError
             if not skip_bad:
                 raise
             skipped.append((label, str(exc)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from motionshape import analytics, registration
+from motionshape import registration
 from motionshape.core import (
     DegenerateInputError,
     DimensionError,
@@ -14,6 +14,8 @@ from motionshape.core import (
     ParameterError,
     TimeGrid,
     Trajectory,
+    common_grid,
+    l2_norm,
 )
 from motionshape.analytics import (
     linear_regression,
@@ -22,8 +24,38 @@ from motionshape.analytics import (
     t_two_sided_pvalue,
     welch_t_test,
 )
-from motionshape.registration import phase_amplitude_separation
+from motionshape.registration import (
+    cosine_distance,
+    group_action,
+    optimal_warping,
+    phase_amplitude_separation,
+    phase_distance,
+    to_srvf,
+)
 from motionshape.synthetic import random_smooth_warp, warped_copy, wavy_template
+
+
+def reference_registered_matrix(curves, metric, max_slope):
+    """The per-pair double loop `pairwise_matrix(registered=True)` ran
+    before each row became one `align_to_reference` call."""
+    grid = common_grid(curves)
+    m = len(curves)
+    qs = [to_srvf(c) for c in curves]
+    d = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            w = optimal_warping(qs[i], qs[j], max_slope)
+            if metric == "phase":
+                d[i, j] = phase_distance(w)
+            elif metric == "amplitude":
+                d[i, j] = l2_norm(qs[i].q - group_action(qs[j], w).q, grid)
+            else:
+                d[i, j] = cosine_distance(curves[i], warped_copy(curves[j], w))
+    d = 0.5 * (d + d.T)
+    d[d < 0] = 0.0  # cosine can round to -1e-17 on near-identical pairs
+    return d
 
 
 def student_pdf(s, dof):
@@ -247,6 +279,25 @@ class TestPairwiseMatrix:
         with pytest.raises(InsufficientDataError):
             pairwise_matrix([wavy101], "cosine", registered=False)
 
+    @pytest.mark.parametrize("n", [31, 101])
+    @pytest.mark.parametrize("max_slope", [3, 7])
+    def test_registered_matches_pair_loop(self, n, max_slope):
+        grid = TimeGrid(n)
+        template = wavy_template(grid)
+        rng = np.random.default_rng(17)
+        curves = [warped_copy(template, random_smooth_warp(grid, rng, 0.4))
+                  for _ in range(4)]
+        for metric in ("amplitude", "phase", "cosine"):
+            got = pairwise_matrix(curves, metric, True, max_slope).values
+            want = reference_registered_matrix(curves, metric, max_slope)
+            assert np.array_equal(got, want), metric
+
+    @pytest.mark.parametrize("metric", ["amplitude", "phase", "cosine"])
+    def test_registered_rejects_flat_curve(self, grid101, wavy101, metric):
+        flat = Trajectory(grid101, np.zeros(101))
+        with pytest.raises(DegenerateInputError, match="zero signal"):
+            pairwise_matrix([wavy101, flat], metric, registered=True)
+
 
 class TestOneSolvePerPair:
     """Every pair alignment is one `optimal_warping` call: the benchmark's
@@ -261,7 +312,6 @@ class TestOneSolvePerPair:
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(analytics, "optimal_warping", counted)
         monkeypatch.setattr(registration, "optimal_warping", counted)
         return calls
 

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from motionshape.core import (
     DegenerateInputError,
     DimensionError,
-    DomainError,
     InsufficientDataError,
     ParameterError,
     TimeGrid,
@@ -13,7 +12,6 @@ from motionshape.core import (
     Warping,
     common_grid,
     inner_product,
-    interp_linear,
 )
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
@@ -130,30 +128,3 @@ class TestInnerProduct:
         grid = TimeGrid(21)
         assert inner_product(f, f, grid) >= 0.0
 
-
-class TestInterpLinear:
-    def test_exact_at_nodes(self, wavy101):
-        out = interp_linear(wavy101, wavy101.grid.points)
-        np.testing.assert_array_equal(out, wavy101.values)
-
-    def test_linear_signal_midpoint(self, grid101):
-        traj = Trajectory(grid101, grid101.points)
-        assert interp_linear(traj, np.array([0.5]))[0] == pytest.approx(0.5)
-
-    def test_hand_evaluated_tent(self):
-        grid = TimeGrid(3)
-        traj = Trajectory(grid, np.array([0.0, 1.0, 0.0]))
-        assert interp_linear(traj, np.array([0.25]))[0] == pytest.approx(0.5)
-
-    def test_outside_domain(self, wavy101):
-        with pytest.raises(DomainError):
-            interp_linear(wavy101, np.array([1.5]))
-
-    @given(q=st.lists(st.floats(0, 1), min_size=1, max_size=8))
-    def test_idempotent_on_nodes(self, q):
-        grid = TimeGrid(11)
-        traj = Trajectory(grid, np.sin(grid.points * 5))
-        nodes = grid.points[(np.asarray(q) * 10).astype(int)]
-        once = interp_linear(traj, nodes)
-        again = interp_linear(Trajectory(grid, traj.values), nodes)
-        np.testing.assert_array_equal(once, again)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import motionshape
 from motionshape.core import DegenerateInputError, InsufficientDataError
-from motionshape import pipeline
+from motionshape import pipeline, registration
 from motionshape.preprocess import RawRecording
 from motionshape.cli import main
 from motionshape.pipeline import (
@@ -651,6 +651,23 @@ class TestTrialReaders:
         rec = pipeline._read_trial(path, "gyro")
         assert rec.samples.tolist() == [i % 3 + 1 for i in range(9)]
 
+    def test_file_emptied_between_reads_warns_nothing(self, tmp_path,
+                                                      monkeypatch):
+        loadtxt = np.loadtxt
+        path = tmp_path / "a.csv"
+        path.write_text("time_s,gyro\n"
+                        + "".join(f"{i},{i % 3 + 1}\n" for i in range(9)))
+
+        def truncate_then_load(*args, **kwargs):
+            path.write_text("time_s,gyro\n")  # numpy then finds no rows
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline.np, "loadtxt", truncate_then_load)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = pipeline._read_trial(path, "gyro")
+        assert rec.samples.tolist() == [i % 3 + 1 for i in range(9)]
+
     @pytest.mark.parametrize("body, n", [("", 0), ("\n\r\n\r", 0),
                                          ("0,1\n0.1,2\n0.2,1\n", 3)])
     def test_short_file_warns_nothing(self, tmp_path, body, n):
@@ -754,6 +771,21 @@ class TestCli:
                    "--config", str(bad), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "nope" in capsys.readouterr().err
+
+    def test_dp_allocation_failure_is_an_error(self, cohort_dir, tmp_path,
+                                               capsys, monkeypatch):
+        # what numpy raises for the (n, E, n) arrival tensor at grid_n 10001
+        text = ("Unable to allocate 28.0 GiB for an array with shape "
+                "(10001, 35, 10001) and data type float64")
+
+        def out_of_memory(*args):
+            raise MemoryError(text)
+
+        monkeypatch.setattr(registration, "_arrival_costs", out_of_memory)
+        rc = main(["mean", "--manifest", str(cohort_dir),
+                   "--out", str(tmp_path / "x"), "--grid-n", "61"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
 
     def test_path_escape_refused(self, cohort_dir, tmp_path):
         m = extend_manifest(cohort_dir, "escape.csv",
