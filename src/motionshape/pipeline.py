@@ -12,11 +12,13 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import warnings
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +84,8 @@ class ConfigFieldError(ManifestError):
 # a number that fails to parse is quoted in the error up to this many
 # characters; a stray quote can turn the rest of a file into one field
 MAX_QUOTED_CHARS = 40
+# the longest file name, in bytes, that common file systems accept
+_MAX_NAME_BYTES = 255
 # numpy's loadtxt decompresses a file named with one of these suffixes
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
@@ -118,6 +122,14 @@ def _csv_rows(path: Path,
         raise ManifestError(f"{path}:{start}: {exc}") from exc
 
 
+def _quoted(field: str) -> str:
+    """repr(field), or for a field longer than MAX_QUOTED_CHARS, repr of
+    its first MAX_QUOTED_CHARS characters followed by its length."""
+    if len(field) <= MAX_QUOTED_CHARS:
+        return repr(field)
+    return f"{field[:MAX_QUOTED_CHARS]!r}... ({len(field)} characters)"
+
+
 def _to_float(field: str) -> float:
     """float(field); the error quotes at most MAX_QUOTED_CHARS of it."""
     try:
@@ -125,8 +137,8 @@ def _to_float(field: str) -> float:
     except ValueError:
         if len(field) <= MAX_QUOTED_CHARS:
             raise
-        shown = f"{field[:MAX_QUOTED_CHARS]!r}... ({len(field)} characters)"
-        raise ValueError(f"could not convert string to float: {shown}") from None
+        raise ValueError(f"could not convert string to float: "
+                         f"{_quoted(field)}") from None
 
 
 @dataclass(frozen=True)
@@ -247,12 +259,16 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
             raise ManifestError(
                 f"{path}:{rowno}: participant_id and trial_path are required"
             )
+        # the id names output files, so it must not be a path
         if "/" in pid or "\\" in pid:
-            # the id names output files, so it must not be a path
             raise ManifestError(
                 f"{path}:{rowno}: participant_id {pid!r} contains a "
                 f"path separator"
             )
+        for name, value in (("participant_id", pid), ("trial_path", trial)):
+            if "\0" in value:
+                raise ManifestError(f"{path}:{rowno}: {name} {value!r} "
+                                    f"contains a NUL character")
         if cohort not in COHORTS:
             raise ManifestError(
                 f"{path}:{rowno}: cohort {cohort!r} not one of {COHORTS}"
@@ -276,14 +292,25 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
                                      (path.parent / trial).resolve(),
                                      brooke, dyn))
         rownos.append(rowno)
-    first_row: dict[str, int] = {}
+    # label.casefold() -> (row, label); labels that differ only by case
+    # name one file on a case-insensitive file system
+    first: dict[str, tuple[int, str]] = {}
     for rowno, label in zip(rownos, _trial_labels(entries)):
-        if label in first_row:
+        size = len(f"{label}.csv".encode())
+        if size > _MAX_NAME_BYTES:
+            raise ManifestError(
+                f"{path}:{rowno}: trial label {_quoted(label)} makes a "
+                f"{size}-byte file name, longer than {_MAX_NAME_BYTES}"
+            )
+        if label.casefold() in first:
+            first_rowno, first_label = first[label.casefold()]
+            as_ = ("" if first_label == label else
+                   f" as {first_label!r}, which differs only by case")
             raise ManifestError(
                 f"{path}:{rowno}: duplicate trial label {label!r} "
-                f"(first at row {first_row[label]})"
+                f"(first at row {first_rowno}{as_})"
             )
-        first_row[label] = rowno
+        first[label.casefold()] = rowno, label
     entries.sort(key=lambda e: (e.participant_id, e.trial_path.name))
     return entries
 
@@ -396,6 +423,85 @@ class IngestResult:
         return [it.trajectory for it in self.items]
 
 
+# Ingest runs in worker processes only when each has this many bytes of
+# trial files to read. On a 2-vCPU Xeon VM, starting a 2-worker fork pool
+# took 33-41 ms (12-16 ms of it imports) and ingest 11-12 ms per MiB. Two
+# workers save half the parse time, so they break even at about 7 MiB in
+# all; at 8 MiB each they save about twice the start-up.
+_BYTES_PER_WORKER = 8 << 20
+
+
+def _ingest_trial(entry: ManifestEntry,
+                  config: PipelineConfig) -> Trajectory | ValueError:
+    """One trial read, resampled, filtered and checked.
+
+    A bad trial's ValueError is returned, not raised, so that a worker
+    process hands it back like a trajectory.
+    """
+    try:
+        rec = _read_trial(entry.trial_path, config.channel)
+        traj = resample(rec, config.grid_n)
+        traj = butterworth_lowpass(traj, config.filter_order,
+                                   config.cutoff_ratio)
+        norm = l2_norm(traj.values, traj.grid)
+        if norm < MIN_SIGNAL_NORM:
+            raise ManifestError(
+                f"{entry.trial_path}: flat signal (L2 norm {norm:.3g} "
+                f"< {MIN_SIGNAL_NORM:g})"
+            )
+        slope = l2_norm(derivative(traj).values, traj.grid)
+        if slope <= MIN_VARIATION_RATIO * norm:
+            raise ManifestError(
+                f"{entry.trial_path}: constant signal (derivative L2 norm "
+                f"{slope:.3g} <= {MIN_VARIATION_RATIO:g} x L2 norm "
+                f"{norm:.3g})"
+            )
+    except ValueError as exc:  # ManifestError is a ValueError
+        return exc
+    return traj
+
+
+def _ingest_workers(entries: list[ManifestEntry]) -> int:
+    """min(usable CPUs, trials, trial-file bytes // _BYTES_PER_WORKER)."""
+    if not hasattr(os, "fork"):  # Windows: no fork start method
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cpus = os.cpu_count() or 1
+    size = 0
+    for e in entries:
+        try:
+            size += e.trial_path.stat().st_size
+        except OSError:  # reported when the trial is read
+            pass
+    return min(cpus, len(entries), size // _BYTES_PER_WORKER)
+
+
+def _ingest_trials(entries: list[ManifestEntry],
+                   config: PipelineConfig) -> Iterable[Trajectory | ValueError]:
+    """`_ingest_trial` of each entry, in order.
+
+    In this process when there is at most one worker's worth of bytes;
+    otherwise in forked worker processes, each given a contiguous chunk.
+    """
+    work = partial(_ingest_trial, config=config)
+    workers = _ingest_workers(entries)
+    if workers <= 1:
+        return map(work, entries)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(work, entries,
+                                 chunksize=-(-len(entries) // workers)))
+    except BrokenProcessPool as exc:
+        raise OSError(f"ingest worker died: {exc}") from exc
+
+
 def ingest(manifest_path: Path | str, config: PipelineConfig,
            skip_bad: bool = False) -> IngestResult:
     """Load, resample, and smooth every trial named by the manifest.
@@ -405,38 +511,22 @@ def ingest(manifest_path: Path | str, config: PipelineConfig,
     smoothed signal is flat (L2 norm below MIN_SIGNAL_NORM) is bad: no
     cosine distance exists for it. So is a constant one (derivative L2 norm
     at most MIN_VARIATION_RATIO times the signal's): it has no shape to
-    align.
+    align. Large cohorts are read in worker processes; the result, and
+    which error is raised, are the same as when read in this one.
     """
     entries = load_manifest(manifest_path)
     if not entries:
         raise InsufficientDataError(f"{manifest_path}: manifest lists no trials")
 
     items, skipped = [], []
-    for e, label in zip(entries, _trial_labels(entries)):
-        try:
-            rec = _read_trial(e.trial_path, config.channel)
-            traj = resample(rec, config.grid_n)
-            traj = butterworth_lowpass(traj, config.filter_order,
-                                       config.cutoff_ratio)
-            norm = l2_norm(traj.values, traj.grid)
-            if norm < MIN_SIGNAL_NORM:
-                raise ManifestError(
-                    f"{e.trial_path}: flat signal (L2 norm {norm:.3g} "
-                    f"< {MIN_SIGNAL_NORM:g})"
-                )
-            slope = l2_norm(derivative(traj).values, traj.grid)
-            if slope <= MIN_VARIATION_RATIO * norm:
-                raise ManifestError(
-                    f"{e.trial_path}: constant signal (derivative L2 norm "
-                    f"{slope:.3g} <= {MIN_VARIATION_RATIO:g} x L2 norm "
-                    f"{norm:.3g})"
-                )
-        except ValueError as exc:  # ManifestError is a ValueError
+    for e, label, traj in zip(entries, _trial_labels(entries),
+                              _ingest_trials(entries, config)):
+        if isinstance(traj, ValueError):
             if not skip_bad:
-                raise
-            skipped.append((label, str(exc)))
-            continue
-        items.append(IngestedTrial(e, label, traj))
+                raise traj
+            skipped.append((label, str(traj)))
+        else:
+            items.append(IngestedTrial(e, label, traj))
     return IngestResult(items, skipped)
 
 

@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -328,6 +329,60 @@ class TestManifest:
         with pytest.raises(ManifestError, match=r"m\.csv:2.*participant_id"):
             load_manifest(m)
 
+    @pytest.mark.parametrize("row, field", [
+        (["P\0X", "healthy", "b.csv"], "participant_id 'P\\x00X'"),
+        (["P2", "healthy", "b\0.csv"], "trial_path 'b\\x00.csv'"),
+    ], ids=["participant_id", "trial_path"])
+    def test_nul_character_rejected(self, tmp_path, row, field):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "healthy", "a.csv", "", ""], row])
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(m)
+        assert str(exc.value) == f"{m}:3: {field} contains a NUL character"
+
+    @pytest.mark.parametrize("rows, rowno, size", [
+        ([["P1", "a.csv"], ["x" * 252, "b.csv"]], 3, 256),
+        # 126 characters, but 252 bytes in UTF-8
+        ([["\u00e9" * 126, "a.csv"]], 2, 256),
+        # the id alone would fit; with '#t1' its label does not
+        ([["x" * 249, "t1.csv"], ["x" * 249, "t2.csv"]], 2, 256),
+    ], ids=["ascii", "utf-8", "several trials"])
+    def test_label_too_long_for_a_file_name(self, tmp_path, rows, rowno,
+                                            size):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [[pid, "healthy", trial, "", ""]
+                           for pid, trial in rows])
+        with pytest.raises(ManifestError,
+                           match=rf"m\.csv:{rowno}: trial label .* makes a "
+                                 rf"{size}-byte file name, longer than 255"):
+            load_manifest(m)
+
+    def test_longest_file_names_accepted(self, tmp_path):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["x" * 251, "healthy", "a.csv", "", ""],
+                           ["\u00e9" * 125, "healthy", "b.csv", "", ""]])
+        names = [f"{e.participant_id}.csv" for e in load_manifest(m)]
+        assert [len(n.encode()) for n in names] == [255, 254]
+        for name in names:
+            (tmp_path / name).write_text("")
+
+    @pytest.mark.parametrize("rows, label, first", [
+        ([["P1", "a.csv"], ["p1", "b.csv"]], "p1", "P1"),
+        ([["X1", "a/t.csv"], ["X1", "b/T.csv"]], "X1#T", "X1#t"),
+        ([["STRASSE", "a.csv"], ["stra\u00dfe", "b.csv"]], "stra\u00dfe",
+         "STRASSE"),
+    ], ids=["id", "stem", "casefold"])
+    def test_labels_differing_only_by_case(self, tmp_path, rows, label,
+                                           first):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [[pid, "healthy", trial, "", ""]
+                           for pid, trial in rows])
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(m)
+        assert str(exc.value) == (
+            f"{m}:3: duplicate trial label {label!r} (first at row 2 as "
+            f"{first!r}, which differs only by case)")
+
     def test_brooke_out_of_range(self, tmp_path):
         m = tmp_path / "m.csv"
         write_manifest(m, [["P1", "DMD", "x.csv", "9", ""]])
@@ -561,6 +616,101 @@ class TestIngest:
                                f"{quoted}... ({len(field)} characters)")
 
 
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestIngestWorkers:
+    """Ingest in forked worker processes against ingest in this one."""
+
+    # label -> trial file of one bad trial of each kind
+    BAD = {"PM": "ghost.csv", "PF": "flat.csv", "PC": "constant.csv",
+           "PR": "bad_row.csv", "PS": "stray_quote.csv"}
+
+    @pytest.fixture
+    def mixed(self, cohort_dir):
+        """The 5-trial cohort plus a fully quoted good trial and one bad
+        trial of each kind in BAD."""
+        d = cohort_dir.parent
+        rows = [(f"{i / 50:.6f}", f"{math.sin(i / 10):.6f}") for i in range(100)]
+        write_trial(d / "flat.csv", [(i / 50, 0.0) for i in range(100)])
+        write_trial(d / "constant.csv", [(i / 50, 5.0) for i in range(100)])
+        write_trial(d / "bad_row.csv", rows[:10] + [(0.2, "abc")] + rows[11:])
+        write_trial(d / "stray_quote.csv",
+                    rows[:4] + [(rows[4][0], '"' + rows[4][1])] + rows[5:])
+        with (d / "quoted.csv").open("w", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(
+                [("time_s", "gyro"), *rows])
+        return extend_manifest(
+            cohort_dir, "mixed.csv",
+            [trial_row("PQ", "quoted.csv")]
+            + [trial_row(label, name) for label, name in self.BAD.items()])
+
+    @staticmethod
+    def two_workers(monkeypatch, manifest):
+        monkeypatch.setattr(pipeline, "_BYTES_PER_WORKER", 1)
+        if pipeline._ingest_workers(load_manifest(manifest)) < 2:
+            pytest.skip("needs two usable CPUs")
+
+    def test_same_items_and_skips(self, mixed, monkeypatch):
+        config = PipelineConfig(grid_n=31)
+        want = ingest(mixed, config, skip_bad=True)
+        self.two_workers(monkeypatch, mixed)
+        got = ingest(mixed, config, skip_bad=True)
+        assert [it.label for it in want.items] == \
+            ["H00", "H01", "H02", "P00", "P01", "PQ"]
+        assert [label for label, _ in want.skipped] == sorted(self.BAD)
+        assert got.skipped == want.skipped
+        assert [(it.entry, it.label) for it in got.items] == \
+            [(it.entry, it.label) for it in want.items]
+        for g, w in zip(got.items, want.items):
+            assert g.trajectory.grid == w.trajectory.grid
+            assert g.trajectory.values.tobytes() == w.trajectory.values.tobytes()
+
+    @pytest.mark.parametrize("label", [*sorted(BAD), None])
+    def test_same_error(self, cohort_dir, mixed, monkeypatch, label):
+        # None: every kind, PC in the first worker's chunk, the rest in the
+        # second's; the first in manifest order is raised
+        m = mixed if label is None else extend_manifest(
+            cohort_dir, "one_bad.csv", [trial_row(label, self.BAD[label])])
+        with pytest.raises(ValueError) as want:
+            ingest(m, PipelineConfig(grid_n=31))
+        self.two_workers(monkeypatch, m)
+        with pytest.raises(ValueError) as got:
+            ingest(m, PipelineConfig(grid_n=31))
+        assert type(got.value) is type(want.value) is ManifestError
+        assert str(got.value) == str(want.value)
+        assert self.BAD[label or "PC"] in str(got.value)
+
+    def test_same_report_tree(self, mixed, tmp_path, monkeypatch):
+        argv = ["report", "--manifest", str(mixed), "--skip-bad",
+                "--grid-n", "61", "--mean-max-iter", "10", "--out"]
+        assert main(argv + [str(tmp_path / "in_process")]) == 0
+        self.two_workers(monkeypatch, mixed)
+        assert main(argv + [str(tmp_path / "workers")]) == 0
+        want = tree_bytes(tmp_path / "in_process")
+        assert len(json.loads(want["stats.json"])["skipped"]) == len(self.BAD)
+        assert tree_bytes(tmp_path / "workers") == want
+
+    def test_dead_worker_fails_cleanly(self, cohort_dir, monkeypatch,
+                                       capsys):
+        parent, read_trial = os.getpid(), pipeline._read_trial
+
+        def die_in_worker(path, channel):
+            if os.getpid() != parent:  # forked workers inherit the patch
+                os._exit(1)
+            return read_trial(path, channel)
+
+        monkeypatch.setattr(pipeline, "_read_trial", die_in_worker)
+        self.two_workers(monkeypatch, cohort_dir)
+        assert main(["ingest-check", "--manifest", str(cohort_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ingest worker died: ")
+        assert err.count("\n") == 1
+
+
 class TestTrialReaders:
     """`_read_trial` (numpy's reader, the row reader as fallback) against
     the original per-row reader."""
@@ -738,6 +888,27 @@ class TestCli:
         assert (out / "stats.json").is_file()
         assert "report complete" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("pid, error", [
+        ("P\0X", r"participant_id 'P\\x00X' contains a NUL character"),
+        ("x" * 252, "trial label 'x.* makes a 256-byte file name"),
+        ("h00", "duplicate trial label 'h00'"),
+    ], ids=["nul", "long", "case"])
+    def test_unwritable_label_refused_before_analysis(self, cohort_dir,
+                                                      tmp_path, capsys,
+                                                      monkeypatch, pid, error):
+        # refused before any trial is read, not in write_report
+        def read_trial(path, channel):
+            pytest.fail(f"read {path}")
+
+        monkeypatch.setattr(pipeline, "_read_trial", read_trial)
+        m = extend_manifest(cohort_dir, "bad_id.csv",
+                            [trial_row(pid, "patient_00.csv")])
+        rc = main(["report", "--manifest", str(m), "--out",
+                   str(tmp_path / "r"), "--skip-bad"])
+        assert rc == 2
+        assert re.match(rf"error: {re.escape(str(m))}:7: {error}",
+                        capsys.readouterr().err)
+
     def test_stage_subcommands(self, cohort_dir, tmp_path):
         args = ["--manifest", str(cohort_dir), "--grid-n", "61"]
         assert main(["report"] + args + ["--out", str(tmp_path / "r")]) == 0
@@ -884,13 +1055,23 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             f"error: {cfg}:2: 'utf-8' codec can't decode byte 0xff")
 
-    def test_import_loads_no_scipy(self):
-        # scipy is a test-only oracle; importing it costs ~1.2 s per run
+    @staticmethod
+    def modules_imported(*packages):
+        """The modules of `packages` that `import motionshape,
+        motionshape.cli` loads in a fresh interpreter."""
         src = str(Path(motionshape.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = ("import sys, motionshape, motionshape.cli; print(sorted(m for m "
-                "in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+                f"in sys.modules if m.partition('.')[0] in {packages!r}))")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": path}).stdout
-        assert out == "[]\n"
+        return out
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only oracle; importing it costs ~1.2 s per run
+        assert self.modules_imported("scipy") == "[]\n"
+
+    def test_import_loads_no_process_pool(self):
+        # only an ingest large enough to use worker processes imports them
+        assert self.modules_imported("multiprocessing", "concurrent") == "[]\n"
