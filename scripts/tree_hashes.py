@@ -30,7 +30,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from motionshape.analytics import pairwise_matrix  # noqa: E402
 from motionshape.cli import main as cli_main  # noqa: E402
-from motionshape.pipeline import PipelineConfig, ingest  # noqa: E402
+from motionshape.inputs import PipelineConfig  # noqa: E402
+from motionshape.pipeline import ingest  # noqa: E402
 from motionshape.synthetic import write_cohort  # noqa: E402
 
 COHORTS = {"planted": dict(seed=1234), "null": dict(seed=99, null_effect=True)}

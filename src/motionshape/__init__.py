@@ -44,15 +44,7 @@ from .analytics import (
     t_two_sided_pvalue,
     welch_t_test,
 )
-from .pipeline import (
-    CohortReport,
-    IngestResult,
-    ManifestEntry,
-    ManifestError,
-    PipelineConfig,
-    ingest,
-    load_manifest,
-    run_pipeline,
-)
+from .inputs import ManifestEntry, ManifestError, PipelineConfig, load_manifest
+from .pipeline import CohortReport, IngestResult, ingest, run_pipeline
 
 __version__ = "0.1.0"

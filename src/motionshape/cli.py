@@ -22,6 +22,9 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pl
+from .inputs import PipelineConfig
+from .outputs import (write_alignment_csvs, write_distances_csv,
+                      write_mean_csv, write_stats_json)
 
 
 def _add_common(p: argparse.ArgumentParser, needs_out: bool) -> None:
@@ -34,17 +37,17 @@ def _add_common(p: argparse.ArgumentParser, needs_out: bool) -> None:
                        help="output directory")
     p.add_argument("--skip-bad", action="store_true",
                    help="record bad trials as skipped instead of aborting")
-    for f in fields(pl.PipelineConfig):
+    for f in fields(PipelineConfig):
         p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
 
 
-def _config(args: argparse.Namespace) -> pl.PipelineConfig:
+def _config(args: argparse.Namespace) -> PipelineConfig:
     overrides = {f.name: getattr(args, f.name)
-                 for f in fields(pl.PipelineConfig)
+                 for f in fields(PipelineConfig)
                  if getattr(args, f.name) is not None}
     if args.config is not None:
-        return pl.PipelineConfig.from_file(args.config, overrides)
-    return pl.PipelineConfig(**overrides)
+        return PipelineConfig.from_file(args.config, overrides)
+    return PipelineConfig(**overrides)
 
 
 # Each handler gets the chain's record after its subcommand's last stage,
@@ -61,25 +64,25 @@ def _ingest_check(run: pl.Run, out) -> str:
 
 
 def _mean(run: pl.Run, out: Path) -> str:
-    pl.write_mean_csv(out / "mean_healthy.csv", run.separation.mean)
+    write_mean_csv(out / "mean_healthy.csv", run.separation.mean)
     return (f"elastic mean written; iterations={run.separation.iterations} "
             f"converged={run.separation.converged}")
 
 
 def _align(run: pl.Run, out: Path) -> str:
-    pl.write_alignment_csvs(out, [it.label for it in run.ingested.items],
-                            run.alignment)
-    pl.write_mean_csv(out / "mean_healthy.csv", run.separation.mean)
+    write_alignment_csvs(out, [it.label for it in run.ingested.items],
+                         run.alignment)
+    write_mean_csv(out / "mean_healthy.csv", run.separation.mean)
     return f"aligned {len(run.ingested.items)} trial(s) to the healthy mean"
 
 
 def _distances(run: pl.Run, out: Path) -> str:
-    pl.write_distances_csv(out / "distances.csv", run.scores)
+    write_distances_csv(out / "distances.csv", run.scores)
     return f"wrote {len(run.scores)} distance triple(s)"
 
 
 def _stats(run: pl.Run, out: Path) -> str:
-    pl.write_stats_json(out / "stats.json", run.report)
+    write_stats_json(out / "stats.json", run.report)
     return "wrote stats.json"
 
 

@@ -1,0 +1,87 @@
+"""The output format: CSV and JSON writers for a run's files.
+
+Numbers are written with 9 significant digits everywhere, NaN spelled "nan".
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+from pathlib import Path
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from .analytics import DistanceMatrix
+    from .core import Trajectory
+    from .pipeline import CohortReport, ParticipantScore
+    from .registration import Alignment
+
+__all__ = [
+    "write_csv",
+    "write_distances_csv",
+    "write_matrix_csv",
+    "write_mean_csv",
+    "write_alignment_csvs",
+    "write_rolling_csv",
+    "write_stats_json",
+]
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.9g}"
+
+
+def write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_distances_csv(path: Path, scores: list[ParticipantScore]) -> None:
+    write_csv(path, ["participant", "cohort", "amplitude", "phase", "cosine"],
+              [[s.label, s.cohort, _fmt(s.triple.amplitude),
+                _fmt(s.triple.phase), _fmt(s.triple.cosine)] for s in scores])
+
+
+def write_matrix_csv(path: Path, matrix: DistanceMatrix) -> None:
+    rows = [[lbl] + [_fmt(v) for v in row]
+            for lbl, row in zip(matrix.labels, matrix.values)]
+    write_csv(path, ["label"] + list(matrix.labels), rows)
+
+
+def write_mean_csv(path: Path, mean: Trajectory) -> None:
+    write_csv(path, ["t", "value"],
+              [[_fmt(t), _fmt(v)] for t, v in zip(mean.grid.points, mean.values)])
+
+
+def write_alignment_csvs(out_dir: Path, labels: list[str],
+                         alignment: Alignment) -> None:
+    """aligned_curves.csv and warps.csv, one row per trial and grid point."""
+    pts = alignment.warps[0].grid.points
+    curve_rows, warp_rows = [], []
+    for label, aligned, warp in zip(labels, alignment.aligned, alignment.warps):
+        curve_rows += [[label, _fmt(t), _fmt(v)]
+                       for t, v in zip(pts, aligned.values)]
+        warp_rows += [[label, _fmt(t), _fmt(g)] for t, g in zip(pts, warp.gamma)]
+    write_csv(out_dir / "aligned_curves.csv", ["participant", "t", "value"],
+              curve_rows)
+    write_csv(out_dir / "warps.csv", ["participant", "t", "gamma"], warp_rows)
+
+
+def write_rolling_csv(path: Path, grid_points: np.ndarray, window: int,
+                      values: np.ndarray) -> None:
+    h = grid_points[1] - grid_points[0]
+    centers = grid_points[: values.size] + 0.5 * (window - 1) * h
+    write_csv(path, ["t_center", "correlation"],
+              [[_fmt(t), _fmt(v)] for t, v in zip(centers, values)])
+
+
+def write_stats_json(path: Path, report: CohortReport) -> None:
+    """The report's summary as JSON; a NaN raises instead of writing NaN."""
+    with path.open("w") as fh:
+        json.dump(report.summary_dict(), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
+        fh.write("\n")

@@ -157,15 +157,16 @@ def _dp_path(q1: np.ndarray, q2: np.ndarray, n: int,
     """Minimum-cost monotone lattice path from (0,0) to (n-1,n-1).
 
     Steps are the coprime pairs (a, b) with 1 <= a, b <= max_slope, so path
-    slopes stay within [1/max_slope, max_slope]. Ties prefer the diagonal
-    step, which keeps the identity warp for self-alignment. The diagonal
-    alone reaches (n-1, n-1), so the walk back only visits finite cells.
+    slopes stay within [1/max_slope, max_slope]; steps longer than the grid
+    are never enumerated. Ties prefer the diagonal step, which keeps the
+    identity warp for self-alignment. The diagonal alone reaches
+    (n-1, n-1), so the walk back only visits finite cells.
 
     `dist` is kept flat with p = max(a) rows and columns of inf in front,
     so the departure cells of every edge arriving on one row are a single
     gather at fixed offsets from that row's start.
     """
-    edges = [(a, b) for a, b in _edge_steps(max_slope) if a < n and b < n]
+    edges = _edge_steps(min(max_slope, n - 1))
     arrive = _arrival_costs(q1, q2, n, edges)
     p = max(a for a, _ in edges)
     width = n + p

@@ -12,14 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from .core import SrvfCurve, TimeGrid, Trajectory, Warping
-from .registration import warped_copy
 
 __all__ = [
     "bimodal_template",
     "wavy_template",
     "random_smooth_warp",
     "random_smooth_srvf",
-    "warped_copy",
     "write_cohort",
 ]
 

@@ -26,13 +26,13 @@ from motionshape.registration import (
     phase_amplitude_separation,
     phase_distance,
     to_srvf,
+    warped_copy,
 )
 from motionshape.analytics import t_two_sided_pvalue, welch_t_test
 from motionshape.synthetic import (
     bimodal_template,
     random_smooth_srvf,
     random_smooth_warp,
-    warped_copy,
     wavy_template,
     write_cohort,
 )

@@ -31,8 +31,9 @@ from motionshape.registration import (
     phase_amplitude_separation,
     phase_distance,
     to_srvf,
+    warped_copy,
 )
-from motionshape.synthetic import random_smooth_warp, warped_copy, wavy_template
+from motionshape.synthetic import random_smooth_warp, wavy_template
 
 
 def reference_registered_matrix(curves, metric, max_slope):

@@ -17,17 +17,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import motionshape
 from motionshape.core import DegenerateInputError, InsufficientDataError
-from motionshape import pipeline, registration
+from motionshape import inputs, pipeline, registration
 from motionshape.preprocess import RawRecording
 from motionshape.cli import main
-from motionshape.pipeline import (
-    IngestResult,
-    ManifestError,
-    PipelineConfig,
-    ingest,
-    load_manifest,
-    run_pipeline,
-)
+from motionshape.inputs import ManifestError, PipelineConfig, load_manifest
+from motionshape.pipeline import IngestResult, ingest, run_pipeline
 from motionshape.synthetic import write_cohort
 
 FAST = dict(grid_n=61, mean_max_iter=10)
@@ -139,9 +133,9 @@ def quoted_as_reader_quotes(message):
     if not sep:
         return message
     field = ast.literal_eval(quoted)
-    if len(field) <= pipeline.MAX_QUOTED_CHARS:
+    if len(field) <= inputs.MAX_QUOTED_CHARS:
         return message
-    return (f"{head}{sep}{field[:pipeline.MAX_QUOTED_CHARS]!r}... "
+    return (f"{head}{sep}{field[:inputs.MAX_QUOTED_CHARS]!r}... "
             f"({len(field)} characters)")
 
 
@@ -610,7 +604,7 @@ class TestIngest:
         reason = result.skipped[0][1]
         field = f"{np.sin(t[4]):.6f}\n" + "".join(
             ",".join(r) + "\n" for r in rows[5:])
-        quoted = repr(field[:pipeline.MAX_QUOTED_CHARS])
+        quoted = repr(field[:inputs.MAX_QUOTED_CHARS])
         # the field runs to the end of the file; its row starts on line 6
         assert reason.endswith(f"a.csv:6: could not convert string to float: "
                                f"{quoted}... ({len(field)} characters)")
@@ -695,14 +689,14 @@ class TestIngestWorkers:
 
     def test_dead_worker_fails_cleanly(self, cohort_dir, monkeypatch,
                                        capsys):
-        parent, read_trial = os.getpid(), pipeline._read_trial
+        parent, read_trial = os.getpid(), inputs.read_trial
 
         def die_in_worker(path, channel):
             if os.getpid() != parent:  # forked workers inherit the patch
                 os._exit(1)
             return read_trial(path, channel)
 
-        monkeypatch.setattr(pipeline, "_read_trial", die_in_worker)
+        monkeypatch.setattr(pipeline, "read_trial", die_in_worker)
         self.two_workers(monkeypatch, cohort_dir)
         assert main(["ingest-check", "--manifest", str(cohort_dir)]) == 2
         out, err = capsys.readouterr()
@@ -727,7 +721,7 @@ class TestTrialReaders:
         path = tmp_path_factory.mktemp("trial") / "a.csv"
         path.write_bytes(text.encode())
         want = read_outcome(reference_read_trial, path)
-        got = read_outcome(pipeline._read_trial, path)
+        got = read_outcome(inputs.read_trial, path)
         assert got[0] == want[0], (got, want)
         if want[0] == "ok":
             for g, w in zip(got[1:], want[1:]):
@@ -746,13 +740,13 @@ class TestTrialReaders:
             ("time_s,gyro,note\r\n" + "\r\n".join(rows) + "\r\n\r\n").encode())
         m = extend_manifest(cohort_dir, "with_crlf.csv",
                             [trial_row("PC", str(tmp_path / "crlf.csv"))])
-        monkeypatch.setattr(pipeline, "_read_rows", no_row_reader)
+        monkeypatch.setattr(inputs, "_read_rows", no_row_reader)
         got = ingest(m, PipelineConfig(grid_n=31))
         assert len(got.items) == 6 and not got.skipped
 
     def test_compressed_suffixes_are_numpys(self):
         openers = np.lib._datasource._file_openers.keys()
-        assert set(pipeline._COMPRESSED_SUFFIXES) == set(openers) - {None}
+        assert set(inputs._COMPRESSED_SUFFIXES) == set(openers) - {None}
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_read_as_plain_text(self, tmp_path, monkeypatch,
@@ -767,10 +761,10 @@ class TestTrialReaders:
         plain, named = tmp_path / "t.csv", tmp_path / f"t.csv{suffix}"
         plain.write_text(text)
         named.write_text(text)
-        monkeypatch.setattr(pipeline.np, "loadtxt", spy)
-        want = pipeline._read_trial(plain, "gyro")
+        monkeypatch.setattr(inputs.np, "loadtxt", spy)
+        want = inputs.read_trial(plain, "gyro")
         assert calls == [plain]
-        got = pipeline._read_trial(named, "gyro")
+        got = inputs.read_trial(named, "gyro")
         assert calls == [plain]
         assert np.array_equal(got.timestamps, want.timestamps)
         assert np.array_equal(got.samples, want.samples)
@@ -797,8 +791,8 @@ class TestTrialReaders:
             assert (path.stat().st_size == first.st_size) == (change == "mtime")
             return loadtxt(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline.np, "loadtxt", rewrite_then_load)
-        rec = pipeline._read_trial(path, "gyro")
+        monkeypatch.setattr(inputs.np, "loadtxt", rewrite_then_load)
+        rec = inputs.read_trial(path, "gyro")
         assert rec.samples.tolist() == [i % 3 + 1 for i in range(9)]
 
     def test_file_emptied_between_reads_warns_nothing(self, tmp_path,
@@ -812,10 +806,10 @@ class TestTrialReaders:
             path.write_text("time_s,gyro\n")  # numpy then finds no rows
             return loadtxt(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline.np, "loadtxt", truncate_then_load)
+        monkeypatch.setattr(inputs.np, "loadtxt", truncate_then_load)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rec = pipeline._read_trial(path, "gyro")
+            rec = inputs.read_trial(path, "gyro")
         assert rec.samples.tolist() == [i % 3 + 1 for i in range(9)]
 
     @pytest.mark.parametrize("body, n", [("", 0), ("\n\r\n\r", 0),
@@ -827,14 +821,14 @@ class TestTrialReaders:
             warnings.simplefilter("error")
             with pytest.raises(ManifestError,
                                match=rf"a\.csv: fewer than 8 samples \({n}\)"):
-                pipeline._read_trial(path, "gyro")
+                inputs.read_trial(path, "gyro")
 
     def test_long_finite_number_accepted(self, tmp_path):
         # past csv's field size limit, which only the row reader has
         rows = [f"{i},{i % 3}" for i in range(9)]
         rows[4] = "4," + "0" * 200_000 + "1.5"
         (tmp_path / "a.csv").write_text("time_s,gyro\n" + "\n".join(rows))
-        rec = pipeline._read_trial(tmp_path / "a.csv", "gyro")
+        rec = inputs.read_trial(tmp_path / "a.csv", "gyro")
         assert rec.samples[4] == 1.5
 
 
@@ -900,7 +894,7 @@ class TestCli:
         def read_trial(path, channel):
             pytest.fail(f"read {path}")
 
-        monkeypatch.setattr(pipeline, "_read_trial", read_trial)
+        monkeypatch.setattr(pipeline, "read_trial", read_trial)
         m = extend_manifest(cohort_dir, "bad_id.csv",
                             [trial_row(pid, "patient_00.csv")])
         rc = main(["report", "--manifest", str(m), "--out",

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from motionshape import registration
 from motionshape.core import (
     DegenerateInputError,
     DimensionError,
@@ -28,13 +29,13 @@ from motionshape.registration import (
     phase_amplitude_separation,
     phase_distance,
     to_srvf,
+    warped_copy,
 )
 from motionshape.analytics import pairwise_matrix, rolling_correlation
 from motionshape.synthetic import (
     bimodal_template,
     random_smooth_srvf,
     random_smooth_warp,
-    warped_copy,
 )
 
 
@@ -264,6 +265,23 @@ class TestOptimalWarping:
             dp = alignment_cost(SrvfCurve(grid, q1), SrvfCurve(grid, q2))
             bf = brute_force_cost(q1, q2, n)
             assert abs(dp - bf) <= 1e-9
+
+    def test_slope_beyond_grid_enumerates_only_grid_steps(self, monkeypatch):
+        # no step longer than the grid fits on it; enumerating them anyway
+        # costs O(max_slope^2) gcd calls per solve
+        n, edge_steps = 8, registration._edge_steps
+
+        def grid_steps_only(max_slope):
+            if max_slope > n - 1:
+                pytest.fail(f"_edge_steps({max_slope}) on a {n}-point grid")
+            return edge_steps(max_slope)
+
+        monkeypatch.setattr(registration, "_edge_steps", grid_steps_only)
+        rng = np.random.default_rng(12)
+        q1, q2 = (SrvfCurve(TimeGrid(n), rng.normal(size=n)) for _ in range(2))
+        got = optimal_warping(q1, q2, max_slope=10**6)
+        want = optimal_warping(q1, q2, max_slope=n - 1)
+        assert np.array_equal(got.gamma, want.gamma)
 
     def test_grid_mismatch(self, grid101, grid201):
         with pytest.raises(DimensionError):
