@@ -13,8 +13,11 @@ trials, 1 kHz x 30 s, seed 1234) and prints the sha256 of its ingested
 trajectories' value bytes, since `ingest-check` prints no values, and the
 sha256 of `pairwise_matrix`'s value bytes for each metric it accepts, with
 and without registration, on the first 8 planted trials, since no output
-file holds the registered amplitude or phase matrix. Run it in two
-checkouts and diff the output to show a change keeps every output
+file holds the registered amplitude or phase matrix. Last, it prints the
+sha256 of `registration._dp_path`'s path and cost for every ordered pair
+(i, j), i != j, of those 8 trials ingested at `grid_n` 201 with
+`dp_max_slope` 3, which pins a DP size other than the default. Run it in
+two checkouts and diff the output to show a change keeps every output
 byte-identical. The `motionshape` imported is the one in this checkout.
 """
 
@@ -26,12 +29,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from motionshape.analytics import pairwise_matrix  # noqa: E402
 from motionshape.cli import main as cli_main  # noqa: E402
 from motionshape.inputs import PipelineConfig  # noqa: E402
 from motionshape.pipeline import ingest  # noqa: E402
+from motionshape.registration import _dp_path, to_srvf  # noqa: E402
 from motionshape.synthetic import write_cohort  # noqa: E402
 
 COHORTS = {"planted": dict(seed=1234), "null": dict(seed=99, null_effect=True)}
@@ -41,6 +47,7 @@ MATRICES = (("amplitude", False), ("amplitude", True), ("cosine", False),
 MATRIX_TRIALS = 8
 LONG_COHORT = dict(n_healthy=20, n_patients=20, rate_hz=1000.0,
                    duration_s=30.0, seed=1234)
+DP_CONFIG = dict(grid_n=201, dp_max_slope=3)
 
 
 def tree_hash(root: Path) -> str:
@@ -87,6 +94,18 @@ def main() -> int:
             digest = hashlib.sha256(matrix.values.tobytes()).hexdigest()
             name = f"{metric}_{'post' if registered else 'pre'}"
             print(f"{'planted':8s} {name:12s} matrix {digest}")
+        dp_config = PipelineConfig(**DP_CONFIG)
+        qs = [to_srvf(t).q for t in ingest(manifests["planted"], dp_config)
+              .trajectories[:MATRIX_TRIALS]]
+        paths = hashlib.sha256()
+        for i, q1 in enumerate(qs):
+            for j, q2 in enumerate(qs):
+                if i != j:
+                    vi, vj, cost = _dp_path(q1, q2, dp_config.grid_n,
+                                            dp_config.dp_max_slope)
+                    paths.update(vi.tobytes() + vj.tobytes()
+                                 + np.float64(cost).tobytes())
+        print(f"{'planted':8s} {'dp_n201_s3':12s} paths {paths.hexdigest()}")
     return 0
 
 

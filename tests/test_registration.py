@@ -32,10 +32,13 @@ from motionshape.registration import (
     warped_copy,
 )
 from motionshape.analytics import pairwise_matrix, rolling_correlation
+from motionshape.inputs import PipelineConfig
+from motionshape.pipeline import build_healthy_mean, ingest
 from motionshape.synthetic import (
     bimodal_template,
     random_smooth_srvf,
     random_smooth_warp,
+    write_cohort,
 )
 
 
@@ -91,23 +94,30 @@ def reference_edge_costs(q1, q2, n, edges):
     return costs
 
 
-def reference_dp_path(q1, q2, n, max_slope):
-    """The original per-edge row loop over reference_edge_costs."""
+def reference_dp_tables(q1, q2, n, max_slope):
+    """The original per-edge row loop over reference_edge_costs. Returns the
+    edges, the cost-to-come table, and every cell's candidates:
+    cands[i, e, j] is the cost of reaching (i, j) by edge e."""
     edges = [(a, b) for a, b in _edge_steps(max_slope) if a < n and b < n]
     costs = reference_edge_costs(q1, q2, n, edges)
     dist = np.full((n, n), np.inf)
     dist[0, 0] = 0.0
-    pred = np.zeros((n, n), dtype=np.int32)
-    cand = np.empty((len(edges), n))
+    cands = np.full((n, len(edges), n), np.inf)
     for i in range(1, n):
-        cand.fill(np.inf)
+        cand = cands[i]
         for e, (a, b) in enumerate(edges):
             if a > i:
                 continue
             cand[e, b:] = dist[i - a, : n - b] + costs[e][i - a, :]
-        pred[i] = cand.argmin(axis=0)  # first minimum wins; (1,1) is edge 0
-        dist[i] = cand[pred[i], np.arange(n)]
+        dist[i] = cand[cand.argmin(axis=0), np.arange(n)]
+    return edges, dist, cands
 
+
+def reference_dp_path(q1, q2, n, max_slope):
+    """The minimum-cost path of reference_dp_tables, walked back from
+    (n-1, n-1) along each cell's first minimum; (1,1) is edge 0."""
+    edges, dist, cands = reference_dp_tables(q1, q2, n, max_slope)
+    pred = cands.argmin(axis=1)
     vi, vj = [n - 1], [n - 1]
     i, j = n - 1, n - 1
     while (i, j) != (0, 0):
@@ -118,6 +128,18 @@ def reference_dp_path(q1, q2, n, max_slope):
     return np.array(vi[::-1], float), np.array(vj[::-1], float), float(dist[n - 1, n - 1])
 
 
+def off_diagonal_ties(q1, q2, n, max_slope, path):
+    """Cells on the reference path reached at the minimum cost by several
+    edges, the first of which is not the diagonal."""
+    _, _, cands = reference_dp_tables(q1, q2, n, max_slope)
+    vi, vj, _ = path
+    count = 0
+    for i, j in zip(vi[1:].astype(int), vj[1:].astype(int)):
+        cand = cands[i, :, j]
+        count += (cand == cand.min()).sum() > 1 and cand.argmin() != 0
+    return count
+
+
 def assert_same_path(got, want):
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -125,14 +147,31 @@ def assert_same_path(got, want):
 
 
 class TestDpMatchesReference:
-    @pytest.mark.parametrize("max_slope", [1, 2, 3, 7])
-    @pytest.mark.parametrize("n", [3, 4, 5, 8, 31, 101])
+    @pytest.mark.parametrize(
+        "n, max_slope",
+        [(n, s) for n in (3, 4, 5, 8, 31, 101) for s in (1, 2, 3, 7)]
+        + [(201, 3), (201, 7)])
     def test_random_pairs_bit_identical(self, n, max_slope):
         rng = np.random.default_rng(1000 * n + max_slope)
         for _ in range(3):
             q1, q2 = rng.normal(size=n), rng.normal(size=n)
             assert_same_path(_dp_path(q1, q2, n, max_slope),
                              reference_dp_path(q1, q2, n, max_slope))
+
+    @pytest.mark.parametrize("max_slope", [3, 7])
+    @pytest.mark.parametrize("n", [31, 101])
+    def test_binary_pairs_settle_ties_on_first_minimum(self, n, max_slope):
+        # {0, 1}-valued SRVFs make many path costs exactly equal, so the
+        # walk back meets cells where a non-diagonal edge ties for the
+        # minimum with a later one; the first must win, as in the reference
+        rng = np.random.default_rng(1000 * n + max_slope)
+        ties = 0
+        for _ in range(10):
+            q1, q2 = (rng.integers(0, 2, n).astype(float) for _ in range(2))
+            want = reference_dp_path(q1, q2, n, max_slope)
+            assert_same_path(_dp_path(q1, q2, n, max_slope), want)
+            ties += off_diagonal_ties(q1, q2, n, max_slope, want)
+        assert ties > 0
 
     @pytest.mark.parametrize("n, max_slope", [(3, 7), (8, 3), (31, 7)])
     def test_arrival_costs_bit_identical(self, n, max_slope):
@@ -396,6 +435,7 @@ class TestPhaseAmplitudeSeparation:
     def test_single_curve(self, wavy101):
         res = phase_amplitude_separation([wavy101])
         assert res.converged
+        assert res.energies == ()
         np.testing.assert_array_equal(res.mean.values, wavy101.values)
         np.testing.assert_array_equal(res.warps[0].gamma, wavy101.grid.points)
 
@@ -434,6 +474,22 @@ class TestPhaseAmplitudeSeparation:
         for c, w, a in zip(curves, res.warps, res.aligned):
             recon = np.interp(w.gamma, grid101.points, c.values)
             assert np.abs(recon - a.values).max() <= 1e-9
+
+    @pytest.mark.parametrize("seed", [1234, 3])
+    def test_energy_descends_on_demo_cohort(self, tmp_path, seed):
+        # the healthy half of the 10 + 10 trial, 200 Hz x 4 s demo cohort, at
+        # the default config. The DP minimizes each warp's lattice cost, not
+        # the energy after group_action, so an iteration may raise the
+        # energy a little: seed 3 does at its last iteration.
+        manifest = write_cohort(tmp_path, n_healthy=10, n_patients=10,
+                                rate_hz=200.0, duration_s=4.0, seed=seed)
+        config = PipelineConfig()
+        res = build_healthy_mean(ingest(manifest, config).items, config)
+        energies = res.energies
+        assert len(energies) == res.iterations
+        for before, after in zip(energies, energies[1:]):
+            assert after - before <= 1e-3 * before
+        assert energies[-1] < energies[0]
 
 
 class TestAlignToReference:
