@@ -7,17 +7,20 @@ Writes the planted cohort (`write_cohort` seed 1234) and the null cohort
 (seed 99, `null_effect=True`) into a temporary directory, runs all six CLI
 subcommands on each at the default config, and prints one line per run:
 the sha256 of its output tree and of its stdout. A tree's hash is the
-sha256 of its sorted "<relative path> <file sha256>" lines. Last, it
+sha256 of its sorted "<relative path> <file sha256>" lines. Then it
 writes a long cohort shaped like the benchmark's `ingest_long_m40` (20 + 20
 trials, 1 kHz x 30 s, seed 1234) and prints the sha256 of its ingested
 trajectories' value bytes, since `ingest-check` prints no values, and the
 sha256 of `pairwise_matrix`'s value bytes for each metric it accepts, with
 and without registration, on the first 8 planted trials, since no output
-file holds the registered amplitude or phase matrix. Last, it prints the
+file holds the registered amplitude or phase matrix. Then it prints the
 sha256 of `registration._dp_path`'s path and cost for every ordered pair
 (i, j), i != j, of those 8 trials ingested at `grid_n` 201 with
-`dp_max_slope` 3, which pins a DP size other than the default. Run it in
-two checkouts and diff the output to show a change keeps every output
+`dp_max_slope` 3, which pins a DP size other than the default. Last, it
+prints the sha256 of the float64 bytes of `t_two_sided_pvalue(t, dof)`
+for t = 0, 0.25, ..., 12 and each dof in P_VALUE_DOFS, since `stats.json`
+holds only the few p-values a seeded cohort gives. Run it in two
+checkouts and diff the output to show a change keeps every output
 byte-identical. The `motionshape` imported is the one in this checkout.
 """
 
@@ -33,7 +36,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from motionshape.analytics import pairwise_matrix  # noqa: E402
+from motionshape.analytics import (pairwise_matrix,  # noqa: E402
+                                   t_two_sided_pvalue)
 from motionshape.cli import main as cli_main  # noqa: E402
 from motionshape.inputs import PipelineConfig  # noqa: E402
 from motionshape.pipeline import ingest  # noqa: E402
@@ -48,6 +52,7 @@ MATRIX_TRIALS = 8
 LONG_COHORT = dict(n_healthy=20, n_patients=20, rate_hz=1000.0,
                    duration_s=30.0, seed=1234)
 DP_CONFIG = dict(grid_n=201, dp_max_slope=3)
+P_VALUE_DOFS = (1, 2, 4, 5.55, 9, 19, 60, 200)
 
 
 def tree_hash(root: Path) -> str:
@@ -106,6 +111,10 @@ def main() -> int:
                     paths.update(vi.tobytes() + vj.tobytes()
                                  + np.float64(cost).tobytes())
         print(f"{'planted':8s} {'dp_n201_s3':12s} paths {paths.hexdigest()}")
+    p_values = np.array([t_two_sided_pvalue(t, dof) for dof in P_VALUE_DOFS
+                         for t in np.arange(49) * 0.25])
+    digest = hashlib.sha256(p_values.tobytes()).hexdigest()
+    print(f"{'-':8s} {'t_pvalue':12s} values {digest}")
     return 0
 
 

@@ -26,8 +26,6 @@ __all__ = [
     "l2_norm",
 ]
 
-_UNIFORM_TOL = 1e-12
-
 
 class DimensionError(ValueError):
     """Inputs whose lengths/grids do not match."""
@@ -71,9 +69,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.n < 3:
             raise ParameterError(f"grid needs at least 3 points, got {self.n}")
-        pts = np.linspace(0.0, 1.0, self.n)
-        assert abs(np.diff(pts).max() - np.diff(pts).min()) < _UNIFORM_TOL
-        object.__setattr__(self, "points", _frozen(pts))
+        object.__setattr__(self, "points",
+                           _frozen(np.linspace(0.0, 1.0, self.n)))
 
     @property
     def spacing(self) -> float:

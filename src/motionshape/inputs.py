@@ -95,15 +95,17 @@ def _quoted(field: str) -> str:
     return f"{field[:MAX_QUOTED_CHARS]!r}... ({len(field)} characters)"
 
 
-def _to_float(field: str) -> float:
-    """float(field); the error quotes at most MAX_QUOTED_CHARS of it."""
+def _to_number(field: str, kind: type = float) -> float:
+    """kind(field), kind float or int; the error quotes at most
+    MAX_QUOTED_CHARS of it."""
     try:
-        return float(field)
-    except ValueError:
+        return kind(field)
+    except ValueError as exc:
         if len(field) <= MAX_QUOTED_CHARS:
             raise
-        raise ValueError(f"could not convert string to float: "
-                         f"{_quoted(field)}") from None
+        # both messages are "<what failed>: <repr of the field>"
+        what = str(exc).partition(": ")[0]
+        raise ValueError(f"{what}: {_quoted(field)}") from None
 
 
 @dataclass(frozen=True)
@@ -241,8 +243,8 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
         brooke_raw = (row.get("brooke_score") or "").strip()
         dyn_raw = (row.get("dynamometry") or "").strip()
         try:
-            brooke = int(brooke_raw) if brooke_raw else None
-            dyn = _to_float(dyn_raw) if dyn_raw else None
+            brooke = _to_number(brooke_raw, int) if brooke_raw else None
+            dyn = _to_number(dyn_raw) if dyn_raw else None
         except ValueError as exc:
             raise ManifestError(f"{path}:{rowno}: {exc}") from exc
         if brooke is not None and not (1 <= brooke <= 6):
@@ -304,7 +306,8 @@ def read_trial(path: Path, channel: str) -> RawRecording:
         text, lines = _open_text(path)
     except OSError as exc:
         raise ManifestError(f"{path}: {exc.strerror or exc}") from exc
-    _, header = next(_csv_rows(path, lines), (0, []))
+    rows = _csv_rows(path, lines)
+    _, header = next(rows, (0, []))
     for name, what in (("time_s", "required column"),
                        (channel, "channel column")):
         if name not in header:
@@ -335,23 +338,23 @@ def read_trial(path: Path, channel: str) -> RawRecording:
                 return RawRecording(times, values)
         except (ValueError, OSError):  # or a failed RawRecording check
             pass
-    return _read_rows(path, text, ti, ci)
+    return _read_rows(path, rows, ti, ci)
 
 
-def _read_rows(path: Path, text: str, ti: int, ci: int) -> RawRecording:
-    """The per-row reader: Python's csv and float() on every data row.
+def _read_rows(path: Path, rows: Iterator[tuple[int, list[str]]],
+               ti: int, ci: int) -> RawRecording:
+    """The per-row reader: Python's csv and float() on every data row of
+    `rows`, `_csv_rows` past the header.
 
     It accepts all they accept (quoted fields, `1_000`, non-ASCII digits)
     and raises on the first bad line, naming it.
     """
     times, values = [], []
-    rows = _csv_rows(path, io.StringIO(text, newline=""))
-    next(rows)  # the header, checked by the caller
     for lineno, row in rows:
         if not row:  # blank line
             continue
         try:
-            t, v = _to_float(row[ti]), _to_float(row[ci])
+            t, v = _to_number(row[ti]), _to_number(row[ci])
             if not (math.isfinite(t) and math.isfinite(v)):
                 raise ValueError("non-finite value")
             if times and t <= times[-1]:

@@ -90,28 +90,36 @@ def _ingest_trial(entry: ManifestEntry,
     """One trial read, resampled, filtered and checked.
 
     A bad trial's ValueError is returned, not raised, so that a worker
-    process hands it back like a trajectory.
+    process hands it back like a trajectory. Its message starts with the
+    trial file's path.
     """
     try:
         rec = read_trial(entry.trial_path, config.channel)
+    except ValueError as exc:  # ManifestError is a ValueError
+        return exc
+    try:
         traj = resample(rec, config.grid_n)
         traj = butterworth_lowpass(traj, config.filter_order,
                                    config.cutoff_ratio)
-        norm = l2_norm(traj.values, traj.grid)
+        with np.errstate(over="ignore"):  # an overflowing norm is refused
+            norm = l2_norm(traj.values, traj.grid)
+            if not np.isfinite(norm):
+                raise DegenerateInputError(
+                    "signal too large (L2 norm overflows)")
+            # every value is below sqrt(max float): the derivative is finite
+            slope = l2_norm(derivative(traj).values, traj.grid)
+            if not np.isfinite(slope):
+                raise DegenerateInputError(
+                    "signal too large (derivative L2 norm overflows)")
         if norm < MIN_SIGNAL_NORM:
-            raise ManifestError(
-                f"{entry.trial_path}: flat signal (L2 norm {norm:.3g} "
-                f"< {MIN_SIGNAL_NORM:g})"
-            )
-        slope = l2_norm(derivative(traj).values, traj.grid)
+            raise DegenerateInputError(
+                f"flat signal (L2 norm {norm:.3g} < {MIN_SIGNAL_NORM:g})")
         if slope <= MIN_VARIATION_RATIO * norm:
-            raise ManifestError(
-                f"{entry.trial_path}: constant signal (derivative L2 norm "
-                f"{slope:.3g} <= {MIN_VARIATION_RATIO:g} x L2 norm "
-                f"{norm:.3g})"
-            )
-    except ValueError as exc:  # ManifestError is a ValueError
-        return exc
+            raise DegenerateInputError(
+                f"constant signal (derivative L2 norm {slope:.3g} <= "
+                f"{MIN_VARIATION_RATIO:g} x L2 norm {norm:.3g})")
+    except ValueError as exc:
+        return ManifestError(f"{entry.trial_path}: {exc}")
     return traj
 
 
@@ -165,8 +173,10 @@ def ingest(manifest_path: Path | str, config: PipelineConfig,
     smoothed signal is flat (L2 norm below MIN_SIGNAL_NORM) is bad: no
     cosine distance exists for it. So is a constant one (derivative L2 norm
     at most MIN_VARIATION_RATIO times the signal's): it has no shape to
-    align. Large cohorts are read in worker processes; the result, and
-    which error is raised, are the same as when read in this one.
+    align. So is one whose L2 norm, or its derivative's, overflows. Every
+    error raised for a trial names its file. Large cohorts are read in
+    worker processes; the result, and which error is raised, are the same
+    as when read in this one.
     """
     entries = load_manifest(manifest_path)
     if not entries:

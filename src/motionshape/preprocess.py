@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DegenerateInputError,
     InsufficientDataError,
     ParameterError,
     TimeGrid,
@@ -49,7 +50,7 @@ class RawRecording:
             raise InsufficientDataError(f"need at least 2 samples, got {t.size}")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x))):
             raise InsufficientDataError("recording contains non-finite values")
-        bad = np.nonzero(np.diff(t) <= 0)[0]
+        bad = np.nonzero(t[1:] <= t[:-1])[0]  # np.diff can overflow
         if bad.size:
             raise InsufficientDataError(
                 f"timestamps not strictly increasing at row {int(bad[0]) + 1}"
@@ -61,11 +62,15 @@ class RawRecording:
 def resample(rec: RawRecording, n: int) -> Trajectory:
     """Linearly interpolate a recording onto a uniform n-point grid.
 
-    The recording's time span maps affinely onto [0, 1].
+    The recording's time span maps affinely onto [0, 1]; a span too long
+    for a float raises DegenerateInputError.
     """
     grid = TimeGrid(n)
     t0, t1 = rec.timestamps[0], rec.timestamps[-1]
-    query = t0 + grid.points * (t1 - t0)
+    span = float(t1) - float(t0)  # Python floats overflow to inf quietly
+    if np.isinf(span):
+        raise DegenerateInputError(f"time span {t0:g} to {t1:g} s overflows")
+    query = t0 + grid.points * span
     return Trajectory(grid, np.interp(query, rec.timestamps, rec.samples))
 
 

@@ -19,6 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import (
     DegenerateInputError,
     DistanceTriple,
+    ParameterError,
     SrvfCurve,
     TimeGrid,
     Trajectory,
@@ -295,8 +296,10 @@ def phase_amplitude_separation(curves: list[Trajectory], max_iter: int = 20,
     onto the current mean and (b) replacing the mean by the average of the
     aligned SRVFs, until the summed squared residual stabilizes. Warps are
     then centered so their pointwise mean is the identity, with the mean
-    re-warped to match.
+    re-warped to match. `max_iter` must be at least 1.
     """
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     grid = common_grid(curves)
     qs = [to_srvf(c) for c in curves]
     beta0 = float(np.mean([c.values[0] for c in curves]))
@@ -311,25 +314,18 @@ def phase_amplitude_separation(curves: list[Trajectory], max_iter: int = 20,
             energies=(),
         )
 
-    qbar = qs[_medoid(qs, grid)].q
-    warps: list[Warping] = []
-    aligned_q: list[np.ndarray] = []
+    qbar_curve = qs[_medoid(qs, grid)]
     energies: list[float] = []
-    iterations = 0
-    converged = False
-    qbar_curve = SrvfCurve(grid, qbar)
-    for iterations in range(1, max_iter + 1):
+    for _ in range(max_iter):
         warps = [optimal_warping(qbar_curve, qi, max_slope) for qi in qs]
         aligned_q = [group_action(qi, wi).q for qi, wi in zip(qs, warps)]
         qbar = np.mean(aligned_q, axis=0)
         qbar_curve = SrvfCurve(grid, qbar)
         energy = sum(l2_norm(a - qbar, grid) ** 2 for a in aligned_q)
         energies.append(energy)
-        if energy < 1e-30:
-            converged = True
-            break
-        if len(energies) > 1 and abs(energies[-2] - energy) <= tol * energies[-2]:
-            converged = True
+        converged = (energy < 1e-30 or len(energies) > 1
+                     and abs(energies[-2] - energy) <= tol * energies[-2])
+        if converged:
             break
 
     # Center: compose every warp with the inverse of the pointwise mean warp,
@@ -342,7 +338,7 @@ def phase_amplitude_separation(curves: list[Trajectory], max_iter: int = 20,
 
     mean = from_srvf(qbar_curve, beta0)
     aligned = [warped_copy(c, w) for c, w in zip(curves, warps)]
-    return RegistrationResult(mean, warps, aligned, iterations, converged,
+    return RegistrationResult(mean, warps, aligned, len(energies), converged,
                               tuple(energies))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from motionshape import registration
+from motionshape import analytics, registration
 from motionshape.core import (
     DegenerateInputError,
     DimensionError,
@@ -57,6 +57,43 @@ def reference_registered_matrix(curves, metric, max_slope):
     d = 0.5 * (d + d.T)
     d[d < 0] = 0.0  # cosine can round to -1e-17 on near-identical pairs
     return d
+
+
+def reference_betacf(a: float, b: float, x: float) -> float:
+    """The incomplete-beta continued fraction before its two Lentz updates
+    per step became one loop, the reference for `analytics._betacf`."""
+    _CF_EPS, _CF_FPMIN, _CF_MAXIT = 3e-16, 1e-300, 400
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _CF_FPMIN:
+        d = _CF_FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, _CF_MAXIT + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _CF_FPMIN:
+            d = _CF_FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _CF_FPMIN:
+            c = _CF_FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _CF_FPMIN:
+            d = _CF_FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _CF_FPMIN:
+            c = _CF_FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _CF_EPS:
+            return h
+    raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
 def student_pdf(s, dof):
@@ -143,6 +180,22 @@ class TestWelch:
         scale = max(1.0, abs(base.t_statistic))
         assert abs(base.t_statistic - moved.t_statistic) <= 1e-9 * scale
         assert abs(base.p_value - moved.p_value) <= 1e-9
+
+
+class TestBetaContinuedFraction:
+    def test_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(2011)
+        a = np.concatenate([10 ** rng.uniform(-1, 3, 1500),
+                            10 ** rng.uniform(3, 5, 300)])
+        b = np.where(rng.random(a.size) < 0.5, 0.5,
+                     10 ** rng.uniform(-1, 3, a.size))
+        x = rng.random(a.size)
+        below = x < (a + 1) / (a + b + 2)  # `_betainc` calls _betacf(a, b, x)
+        assert below.sum() > 300 and (~below).sum() > 300
+        for ai, bi, xi, direct in zip(a, b, x, below):
+            args = ((float(ai), float(bi), float(xi)) if direct
+                    else (float(bi), float(ai), 1.0 - float(xi)))
+            assert analytics._betacf(*args) == reference_betacf(*args), args
 
 
 class TestLinearRegression:

@@ -383,6 +383,19 @@ class TestManifest:
         with pytest.raises(ManifestError, match="brooke"):
             load_manifest(m)
 
+    @pytest.mark.parametrize("field, quoted", [
+        ("abc", "'abc'"),
+        ("x" * 300, f"{'x' * inputs.MAX_QUOTED_CHARS!r}... (300 characters)"),
+    ], ids=["short", "long"])
+    def test_brooke_not_an_integer_quotes_a_short_prefix(self, tmp_path,
+                                                         field, quoted):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "DMD", "x.csv", field, ""]])
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(m)
+        assert str(exc.value) == (
+            f"{m}:2: invalid literal for int() with base 10: {quoted}")
+
     def test_missing_columns(self, tmp_path):
         m = tmp_path / "m.csv"
         m.write_text("participant_id,cohort\nP1,healthy\n")
@@ -553,6 +566,50 @@ class TestIngest:
         write_manifest(m, [["P1", "healthy", "a.csv", "", ""]])
         with pytest.raises(ManifestError, match=r"a\.csv: constant signal"):
             ingest(m, PipelineConfig())
+
+    @pytest.mark.parametrize("amplitude, which", [
+        (1e200, "L2 norm"), (1e154, "derivative L2 norm")])
+    def test_overflowing_signal_rejected(self, tmp_path, amplitude, which):
+        t = np.linspace(0, 4, 200)
+        write_trial(tmp_path / "a.csv", zip(t, amplitude * np.sin(5 * t)))
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "healthy", "a.csv", "", ""]])
+        with pytest.raises(ManifestError) as exc:
+            ingest(m, PipelineConfig())
+        assert str(exc.value) == (
+            f"{tmp_path.resolve() / 'a.csv'}: signal too large "
+            f"({which} overflows)")
+
+    # timestamps that read_trial accepts but the resampled trial cannot use
+    BAD_TIMES = {
+        "overflowing_span": (
+            np.concatenate([np.linspace(-1e308, 0, 100),
+                            np.linspace(0, 1e308, 101)[1:]]),
+            "time span -1e+308 to 1e+308 s overflows"),
+        "overflowing_step": (
+            np.concatenate([np.linspace(-1e308, -9e307, 100),
+                            np.linspace(9e307, 1e308, 100)]),
+            "time span -1e+308 to 1e+308 s overflows"),
+        "subnormal_span": (np.arange(200) * 1e-322,
+                           "trajectory contains non-finite values"),
+    }
+
+    @pytest.mark.parametrize("skip_bad", [False, True])
+    @pytest.mark.parametrize("kind", sorted(BAD_TIMES))
+    def test_bad_timestamps_name_the_trial(self, cohort_dir, kind, skip_bad):
+        times, reason = self.BAD_TIMES[kind]
+        path = (cohort_dir.parent / f"{kind}.csv").resolve()
+        write_trial(path, zip(times, np.sin(np.linspace(0, 20, 200))))
+        m = extend_manifest(cohort_dir, "with_bad.csv",
+                            [trial_row("PB", str(path))])
+        if skip_bad:
+            result = ingest(m, PipelineConfig(grid_n=31), skip_bad=True)
+            assert len(result.items) == 5
+            assert result.skipped == [("PB", f"{path}: {reason}")]
+        else:
+            with pytest.raises(ManifestError) as exc:
+                ingest(m, PipelineConfig(grid_n=31))
+            assert str(exc.value) == f"{path}: {reason}"
 
     def test_skip_bad_collects_instead(self, tmp_path):
         t = np.linspace(0, 2, 40)

@@ -9,6 +9,7 @@ from motionshape.core import (
     DegenerateInputError,
     DimensionError,
     InsufficientDataError,
+    ParameterError,
     SrvfCurve,
     TimeGrid,
     Trajectory,
@@ -442,6 +443,11 @@ class TestPhaseAmplitudeSeparation:
     def test_empty_input(self):
         with pytest.raises(InsufficientDataError):
             phase_amplitude_separation([])
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, wavy101, max_iter):
+        with pytest.raises(ParameterError, match="max_iter"):
+            phase_amplitude_separation([wavy101] * 3, max_iter=max_iter)
 
     def test_recovers_template(self, grid101):
         # recovery is limited by how far the sample's average timing sits
