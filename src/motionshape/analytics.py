@@ -185,7 +185,11 @@ def welch_t_test(a, b) -> TTestResult:
 
 
 def linear_regression(x, y) -> RegressionResult:
-    """Ordinary least squares of y on x with a two-sided slope test."""
+    """Ordinary least squares of y on x with a two-sided slope test.
+
+    Sums of squares that underflow to 0 or overflow to inf, which values
+    near the ends of the float range give, raise DegenerateInputError.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size:
@@ -196,11 +200,19 @@ def linear_regression(x, y) -> RegressionResult:
         raise DegenerateInputError("regressor x is constant")
     if np.all(y == y[0]):
         return RegressionResult(0.0, float(y[0]), 0.0, 1.0)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    sxy = float(dx @ dy)
+    with np.errstate(all="ignore"):  # out-of-range sums are refused below
+        dx = x - x.mean()
+        dy = y - y.mean()
+        sxx = float(dx @ dx)
+        syy = float(dy @ dy)
+        sxy = float(dx @ dy)
+    if not (isfinite(sxx) and sxx > 0.0):
+        raise DegenerateInputError(
+            f"x spread out of float range (Sxx {sxx:g})")
+    if not (isfinite(sxx * syy) and sxx * syy > 0.0 and isfinite(sxy)):
+        raise DegenerateInputError(
+            f"x and y spreads out of float range "
+            f"(Sxx*Syy {sxx * syy:g}, Sxy {sxy:g})")
     slope = sxy / sxx
     intercept = float(y.mean() - slope * x.mean())
     r = float(np.clip(sxy / sqrt(sxx * syy), -1.0, 1.0))

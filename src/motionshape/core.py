@@ -1,4 +1,4 @@
-"""Shared domain types and numerical primitives.
+"""Shared domain types, numerical primitives and the fork worker pool.
 
 Every curve in this package lives on a common uniform grid over normalized
 time [0, 1]. The types below are immutable after construction (their arrays
@@ -7,6 +7,8 @@ are frozen), so they can be shared freely across threads.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +26,7 @@ __all__ = [
     "common_grid",
     "inner_product",
     "l2_norm",
+    "fork_map",
 ]
 
 
@@ -183,3 +186,36 @@ def inner_product(f: np.ndarray, g: np.ndarray, grid: TimeGrid) -> float:
 def l2_norm(f: np.ndarray, grid: TimeGrid) -> float:
     return float(np.sqrt(max(inner_product(f, f, grid), 0.0)))
 
+
+def fork_map(fn: Callable, items: Sequence, workers: int,
+             stage: str) -> Iterable:
+    """`fn` of each item, in order, in up to `workers` forked processes.
+
+    The pool gets min(workers, usable CPUs, len(items)) workers, each given
+    one contiguous chunk of `items`, and the results come back as a list.
+    With fewer than two, or on a platform without fork, this is the lazy
+    `map(fn, items)` in this process, so a caller that stops at one result
+    computes no later ones. A worker that dies raises OSError naming
+    `stage`. `fn` and each result are pickled between processes.
+    """
+    if not hasattr(os, "fork"):  # Windows: no fork start method
+        workers = 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cpus = os.cpu_count() or 1
+    workers = min(workers, cpus, len(items))
+    if workers <= 1:
+        return map(fn, items)
+    # imported here: a run that starts no pool does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(fn, items,
+                                 chunksize=-(-len(items) // workers)))
+    except BrokenProcessPool as exc:
+        raise OSError(f"{stage} worker died: {exc}") from exc

@@ -8,8 +8,6 @@ Outputs are deterministic: same inputs and config give byte-identical files.
 
 from __future__ import annotations
 
-import os
-from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -28,6 +26,7 @@ from .core import (
     DistanceTriple,
     InsufficientDataError,
     Trajectory,
+    fork_map,
     l2_norm,
 )
 from .inputs import (ManifestEntry, ManifestError, PipelineConfig,
@@ -124,44 +123,14 @@ def _ingest_trial(entry: ManifestEntry,
 
 
 def _ingest_workers(entries: list[ManifestEntry]) -> int:
-    """min(usable CPUs, trials, trial-file bytes // _BYTES_PER_WORKER)."""
-    if not hasattr(os, "fork"):  # Windows: no fork start method
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        cpus = os.cpu_count() or 1
+    """Trial-file bytes // _BYTES_PER_WORKER: the workers worth starting."""
     size = 0
     for e in entries:
         try:
             size += e.trial_path.stat().st_size
         except OSError:  # reported when the trial is read
             pass
-    return min(cpus, len(entries), size // _BYTES_PER_WORKER)
-
-
-def _ingest_trials(entries: list[ManifestEntry],
-                   config: PipelineConfig) -> Iterable[Trajectory | ValueError]:
-    """`_ingest_trial` of each entry, in order.
-
-    In this process when there is at most one worker's worth of bytes;
-    otherwise in forked worker processes, each given a contiguous chunk.
-    """
-    work = partial(_ingest_trial, config=config)
-    workers = _ingest_workers(entries)
-    if workers <= 1:
-        return map(work, entries)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(work, entries,
-                                 chunksize=-(-len(entries) // workers)))
-    except BrokenProcessPool as exc:
-        raise OSError(f"ingest worker died: {exc}") from exc
+    return size // _BYTES_PER_WORKER
 
 
 def ingest(manifest_path: Path | str, config: PipelineConfig,
@@ -182,9 +151,10 @@ def ingest(manifest_path: Path | str, config: PipelineConfig,
     if not entries:
         raise InsufficientDataError(f"{manifest_path}: manifest lists no trials")
 
+    trajectories = fork_map(partial(_ingest_trial, config=config), entries,
+                            _ingest_workers(entries), "ingest")
     items, skipped = [], []
-    for e, label, traj in zip(entries, trial_labels(entries),
-                              _ingest_trials(entries, config)):
+    for e, label, traj in zip(entries, trial_labels(entries), trajectories):
         if isinstance(traj, ValueError):
             if not skip_bad:
                 raise traj
@@ -288,8 +258,12 @@ def cohort_t_tests(scores: list[ParticipantScore]) -> dict:
         if len(healthy) < 2 or len(patients) < 2:
             out[metric] = {"skipped": "need >= 2 trials per group"}
             continue
-        res = welch_t_test([getattr(s.triple, metric) for s in healthy],
-                           [getattr(s.triple, metric) for s in patients])
+        try:
+            res = welch_t_test([getattr(s.triple, metric) for s in healthy],
+                               [getattr(s.triple, metric) for s in patients])
+        except DegenerateInputError as exc:
+            out[metric] = {"skipped": str(exc)}
+            continue
         out[metric] = {"t": res.t_statistic, "p": res.p_value, "dof": res.dof}
     return out
 

@@ -63,7 +63,8 @@ def resample(rec: RawRecording, n: int) -> Trajectory:
     """Linearly interpolate a recording onto a uniform n-point grid.
 
     The recording's time span maps affinely onto [0, 1]; a span too long
-    for a float raises DegenerateInputError.
+    for a float, or steps so short that a slope between samples overflows,
+    raises DegenerateInputError.
     """
     grid = TimeGrid(n)
     t0, t1 = rec.timestamps[0], rec.timestamps[-1]
@@ -71,7 +72,12 @@ def resample(rec: RawRecording, n: int) -> Trajectory:
     if np.isinf(span):
         raise DegenerateInputError(f"time span {t0:g} to {t1:g} s overflows")
     query = t0 + grid.points * span
-    return Trajectory(grid, np.interp(query, rec.timestamps, rec.samples))
+    values = np.interp(query, rec.timestamps, rec.samples)  # warns nothing
+    if not np.all(np.isfinite(values)):  # finite samples: a slope overflowed
+        raise DegenerateInputError(
+            f"time steps too small to interpolate "
+            f"(smallest {np.diff(rec.timestamps).min():g} s)")
+    return Trajectory(grid, values)
 
 
 def _butter_lowpass_ba(order: int, cutoff_ratio: float):

@@ -227,6 +227,15 @@ def optimal_warping(q_ref: SrvfCurve, q_mov: SrvfCurve,
     return Warping(q_ref.grid, gamma)
 
 
+def _align_srvfs(q_ref: SrvfCurve, qs: list[SrvfCurve],
+                 max_slope: int) -> tuple[list[Warping], list[np.ndarray]]:
+    """The optimal warp of each SRVF onto `q_ref`, and each warped SRVF's
+    values: one DP solve per curve. Every warp this module solves for is
+    solved here."""
+    warps = [optimal_warping(q_ref, q, max_slope) for q in qs]
+    return warps, [group_action(q, w).q for q, w in zip(qs, warps)]
+
+
 def alignment_cost(q_ref: SrvfCurve, q_mov: SrvfCurve,
                    max_slope: int = DEFAULT_MAX_SLOPE) -> float:
     """Objective value attained by the optimal lattice path.
@@ -240,9 +249,9 @@ def alignment_cost(q_ref: SrvfCurve, q_mov: SrvfCurve,
 def amplitude_distance(b1: Trajectory, b2: Trajectory,
                        max_slope: int = DEFAULT_MAX_SLOPE) -> float:
     """Residual L2 distance between SRVFs after optimally warping b2 to b1."""
-    q1, q2 = to_srvf(b1), to_srvf(b2)
-    w = optimal_warping(q1, q2, max_slope)
-    return l2_norm(q1.q - group_action(q2, w).q, b1.grid)
+    q1 = to_srvf(b1)
+    _, (aligned,) = _align_srvfs(q1, [to_srvf(b2)], max_slope)
+    return l2_norm(q1.q - aligned, b1.grid)
 
 
 def phase_distance(w: Warping) -> float:
@@ -317,8 +326,7 @@ def phase_amplitude_separation(curves: list[Trajectory], max_iter: int = 20,
     qbar_curve = qs[_medoid(qs, grid)]
     energies: list[float] = []
     for _ in range(max_iter):
-        warps = [optimal_warping(qbar_curve, qi, max_slope) for qi in qs]
-        aligned_q = [group_action(qi, wi).q for qi, wi in zip(qs, warps)]
+        warps, aligned_q = _align_srvfs(qbar_curve, qs, max_slope)
         qbar = np.mean(aligned_q, axis=0)
         qbar_curve = SrvfCurve(grid, qbar)
         energy = sum(l2_norm(a - qbar, grid) ** 2 for a in aligned_q)
@@ -346,7 +354,8 @@ def align_to_reference(curves: list[Trajectory], reference: Trajectory,
                        max_slope: int = DEFAULT_MAX_SLOPE) -> Alignment:
     """Single-pass alignment of each curve to a fixed reference, scored.
 
-    Each curve's distances are the amplitude distance under its warp, the
+    Every curve's warp is solved before any distance is computed. Each
+    curve's distances are the amplitude distance under its warp, the
     warp's phase distance and the cosine distance of the aligned curve.
     A curve or reference whose L2 norm is below MIN_SIGNAL_NORM has no
     cosine distance, so it raises DegenerateInputError.
@@ -354,16 +363,11 @@ def align_to_reference(curves: list[Trajectory], reference: Trajectory,
     grid = common_grid(curves)  # no curves: InsufficientDataError
     common_grid([reference, *curves])
     q_ref = to_srvf(reference)
-    warps, aligned, distances = [], [], []
-    for c in curves:
-        q = to_srvf(c)
-        w = optimal_warping(q_ref, q, max_slope)
-        a = warped_copy(c, w)
-        warps.append(w)
-        aligned.append(a)
-        distances.append(DistanceTriple(
-            amplitude=l2_norm(q_ref.q - group_action(q, w).q, grid),
-            phase=phase_distance(w),
-            cosine=cosine_distance(reference, a),
-        ))
+    warps, aligned_q = _align_srvfs(q_ref, [to_srvf(c) for c in curves],
+                                    max_slope)
+    aligned = [warped_copy(c, w) for c, w in zip(curves, warps)]
+    distances = [DistanceTriple(amplitude=l2_norm(q_ref.q - q, grid),
+                                phase=phase_distance(w),
+                                cosine=cosine_distance(reference, a))
+                 for w, q, a in zip(warps, aligned_q, aligned)]
     return Alignment(warps, aligned, distances)

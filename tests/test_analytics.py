@@ -24,7 +24,10 @@ from motionshape.analytics import (
     t_two_sided_pvalue,
     welch_t_test,
 )
+from motionshape.inputs import PipelineConfig
+from motionshape.pipeline import stages
 from motionshape.registration import (
+    align_to_reference,
     cosine_distance,
     group_action,
     optimal_warping,
@@ -33,7 +36,8 @@ from motionshape.registration import (
     to_srvf,
     warped_copy,
 )
-from motionshape.synthetic import random_smooth_warp, wavy_template
+from motionshape.synthetic import (random_smooth_warp, wavy_template,
+                                   write_cohort)
 
 
 def reference_registered_matrix(curves, metric, max_slope):
@@ -226,6 +230,21 @@ class TestLinearRegression:
         with pytest.raises(InsufficientDataError):
             linear_regression([1.0, 2.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("x, y, reason", [
+        # Sxx underflows to 0 although x is not constant
+        ([1e-320, 2e-320, 3e-320, 4e-320], [0.1, 0.5, 0.2, 0.3],
+         r"x spread out of float range \(Sxx 0\)"),
+        # Sxx overflows to inf
+        ([1e300, 2e300, 3e300, 4e300], [0.1, 0.5, 0.2, 0.3],
+         r"x spread out of float range \(Sxx inf\)"),
+        # Sxx is positive, but Sxx * Syy underflows to 0
+        ([1e-160, 2e-160, 3e-160, 4e-160], [1e-10, 5e-10, 2e-10, 3e-10],
+         r"x and y spreads out of float range \(Sxx\*Syy 0, Sxy "),
+    ], ids=["sxx_underflows", "sxx_overflows", "sxx_syy_underflows"])
+    def test_sums_out_of_float_range_rejected(self, x, y, reason):
+        with pytest.raises(DegenerateInputError, match=reason):
+            linear_regression(x, y)  # and no numpy warning
+
     def test_residuals_orthogonal_to_x(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
@@ -390,3 +409,23 @@ class TestOneSolvePerPair:
         result = phase_amplitude_separation(curves, max_iter=3, tol=1e-12)
         assert result.iterations == 3
         assert len(solves) == result.iterations * len(curves)
+
+    def test_align_to_reference(self, solves, curves):
+        align_to_reference(curves[1:], curves[0])
+        assert len(solves) == len(curves) - 1
+
+    def test_every_solve_goes_through_the_seam(self, solves, monkeypatch,
+                                               tmp_path):
+        through_seam = []
+        seam = registration._align_srvfs
+
+        def counted(q_ref, qs, max_slope):
+            through_seam.append(len(qs))
+            return seam(q_ref, qs, max_slope)
+
+        monkeypatch.setattr(registration, "_align_srvfs", counted)
+        m = write_cohort(tmp_path, n_healthy=3, n_patients=2, seed=5,
+                         rate_hz=50.0, duration_s=2.0)
+        names = [name for name, _ in stages(m, PipelineConfig(grid_n=31))]
+        assert names[-1] == "report"
+        assert len(solves) == sum(through_seam) > 0

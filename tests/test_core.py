@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +13,11 @@ from motionshape.core import (
     Trajectory,
     Warping,
     common_grid,
+    fork_map,
     inner_product,
 )
+
+TEST_PROCESS = os.getpid()
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
 
@@ -128,3 +133,46 @@ class TestInnerProduct:
         grid = TimeGrid(21)
         assert inner_product(f, f, grid) >= 0.0
 
+
+
+# module-level, so that fork_map can pickle them for its workers
+def pid_and_square(x):
+    return os.getpid(), x * x
+
+
+def die_in_worker(x):
+    if os.getpid() != TEST_PROCESS:
+        os._exit(1)
+    return x
+
+
+two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                              reason="needs two usable CPUs")
+
+
+class TestForkMap:
+    @two_cpus
+    def test_order_kept_on_uneven_chunks(self):
+        # chunks of 3 and 2 items
+        got = fork_map(pid_and_square, list(range(5)), 2, "demo")
+        assert [sq for _, sq in got] == [0, 1, 4, 9, 16]
+        assert TEST_PROCESS not in {pid for pid, _ in got}
+
+    @pytest.mark.parametrize("workers, items", [(1, [1, 2, 3]), (0, [1, 2]),
+                                                (4, [1])])
+    def test_lazy_in_process(self, workers, items):
+        seen = []
+
+        def record(x):
+            seen.append(x)
+            return os.getpid(), x
+
+        got = fork_map(record, items, workers, "demo")
+        assert seen == []
+        assert next(got) == (TEST_PROCESS, items[0])
+        assert seen == items[:1]
+
+    @two_cpus
+    def test_dead_worker_names_the_stage(self):
+        with pytest.raises(OSError, match=r"^demo worker died: "):
+            fork_map(die_in_worker, [1, 2], 2, "demo")

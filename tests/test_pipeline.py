@@ -261,6 +261,16 @@ class TestConfig:
         cfg = PipelineConfig.from_file(f, {"grid_n": 81})
         assert cfg.grid_n == 81
 
+    def test_readme_table_lists_every_field(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| (\w+) +\| (\S+) +\|", readme.read_text(),
+                          re.MULTILINE)
+        assert rows[0] == ("field", "default")
+        assert [name for name, _ in rows[1:]] == \
+            [f.name for f in fields(PipelineConfig)]
+        for (name, text), f in zip(rows[1:], fields(PipelineConfig)):
+            assert type(f.default)(text) == f.default, name
+
     def test_every_field_round_trips_through_file(self, tmp_path):
         assert set(NON_DEFAULT) == {f.name for f in fields(PipelineConfig)}
         f = tmp_path / "cfg.txt"
@@ -591,7 +601,8 @@ class TestIngest:
                             np.linspace(9e307, 1e308, 100)]),
             "time span -1e+308 to 1e+308 s overflows"),
         "subnormal_span": (np.arange(200) * 1e-322,
-                           "trajectory contains non-finite values"),
+                           "time steps too small to interpolate "
+                           "(smallest 9.88131e-323 s)"),
     }
 
     @pytest.mark.parametrize("skip_bad", [False, True])
@@ -610,6 +621,21 @@ class TestIngest:
             with pytest.raises(ManifestError) as exc:
                 ingest(m, PipelineConfig(grid_n=31))
             assert str(exc.value) == f"{path}: {reason}"
+
+    def test_first_bad_trial_stops_reading(self, cohort_dir, monkeypatch):
+        read, real = [], inputs.read_trial
+
+        def recorded(path, channel):
+            read.append(path.name)
+            return real(path, channel)
+
+        monkeypatch.setattr(pipeline, "read_trial", recorded)
+        # sorts between H01 and H02
+        m = extend_manifest(cohort_dir, "bad_second.csv",
+                            [trial_row("H01x", "ghost.csv")])
+        with pytest.raises(ManifestError, match="ghost.csv"):
+            ingest(m, PipelineConfig(grid_n=31))
+        assert read == ["healthy_00.csv", "healthy_01.csv", "ghost.csv"]
 
     def test_skip_bad_collects_instead(self, tmp_path):
         t = np.linspace(0, 2, 40)
@@ -699,15 +725,15 @@ class TestIngestWorkers:
             + [trial_row(label, name) for label, name in self.BAD.items()])
 
     @staticmethod
-    def two_workers(monkeypatch, manifest):
+    def two_workers(monkeypatch):
         monkeypatch.setattr(pipeline, "_BYTES_PER_WORKER", 1)
-        if pipeline._ingest_workers(load_manifest(manifest)) < 2:
+        if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("needs two usable CPUs")
 
     def test_same_items_and_skips(self, mixed, monkeypatch):
         config = PipelineConfig(grid_n=31)
         want = ingest(mixed, config, skip_bad=True)
-        self.two_workers(monkeypatch, mixed)
+        self.two_workers(monkeypatch)
         got = ingest(mixed, config, skip_bad=True)
         assert [it.label for it in want.items] == \
             ["H00", "H01", "H02", "P00", "P01", "PQ"]
@@ -727,7 +753,7 @@ class TestIngestWorkers:
             cohort_dir, "one_bad.csv", [trial_row(label, self.BAD[label])])
         with pytest.raises(ValueError) as want:
             ingest(m, PipelineConfig(grid_n=31))
-        self.two_workers(monkeypatch, m)
+        self.two_workers(monkeypatch)
         with pytest.raises(ValueError) as got:
             ingest(m, PipelineConfig(grid_n=31))
         assert type(got.value) is type(want.value) is ManifestError
@@ -738,7 +764,7 @@ class TestIngestWorkers:
         argv = ["report", "--manifest", str(mixed), "--skip-bad",
                 "--grid-n", "61", "--mean-max-iter", "10", "--out"]
         assert main(argv + [str(tmp_path / "in_process")]) == 0
-        self.two_workers(monkeypatch, mixed)
+        self.two_workers(monkeypatch)
         assert main(argv + [str(tmp_path / "workers")]) == 0
         want = tree_bytes(tmp_path / "in_process")
         assert len(json.loads(want["stats.json"])["skipped"]) == len(self.BAD)
@@ -754,7 +780,7 @@ class TestIngestWorkers:
             return read_trial(path, channel)
 
         monkeypatch.setattr(pipeline, "read_trial", die_in_worker)
-        self.two_workers(monkeypatch, cohort_dir)
+        self.two_workers(monkeypatch)
         assert main(["ingest-check", "--manifest", str(cohort_dir)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -928,6 +954,51 @@ class TestRunPipeline:
         assert stats["skipped_trials"] == 1
         assert stats["skipped"][0]["label"] == "PX"
         assert len(report.scores) == 5
+
+
+class TestStatsOnDegenerateInput:
+    """A statistic that cannot be computed is recorded as skipped, with its
+    reason, and the run goes on."""
+
+    @pytest.fixture
+    def cohort(self, tmp_path):
+        return write_cohort(tmp_path / "cohort", n_healthy=3, n_patients=3,
+                            seed=1)
+
+    @staticmethod
+    def stats(manifest, out):
+        assert main(["stats", "--manifest", str(manifest), "--grid-n", "31",
+                     "--out", str(out)]) == 0
+        return json.loads((out / "stats.json").read_text())
+
+    def test_zero_variance_groups_skip_t_tests(self, cohort, tmp_path):
+        d = cohort.parent
+        for i in (1, 2):
+            (d / f"healthy_0{i}.csv").write_bytes(
+                (d / "healthy_00.csv").read_bytes())
+            (d / f"patient_0{i}.csv").write_bytes(
+                (d / "patient_00.csv").read_bytes())
+        reason = "zero variance in both samples, unequal means"
+        assert self.stats(cohort, tmp_path / "out")["t_tests"] == {
+            metric: {"skipped": reason}
+            for metric in ("amplitude", "phase", "cosine")}
+
+    @pytest.mark.parametrize("scale, sxx", [(1e-320, "0"), (1e300, "inf")])
+    def test_dynamometry_out_of_float_range_skips_its_fits(
+            self, cohort, tmp_path, scale, sxx):
+        with cohort.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for k, row in enumerate(rows, 1):
+            row["dynamometry"] = repr(k * scale)
+        m = cohort.parent / "hostile.csv"
+        with m.open("w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            w.writeheader()
+            w.writerows(rows)
+        regressions = self.stats(m, tmp_path / "out")["regressions"]
+        for metric in ("amplitude", "phase"):
+            assert regressions[f"{metric}_vs_dynamometry"] == {
+                "n": 6, "skipped": f"x spread out of float range (Sxx {sxx})"}
 
 
 class TestCli:

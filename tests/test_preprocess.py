@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from motionshape.core import InsufficientDataError, ParameterError, TimeGrid, Trajectory
+from motionshape.core import (DegenerateInputError, InsufficientDataError,
+                              ParameterError, TimeGrid, Trajectory)
 from motionshape.preprocess import (
     PADLEN_PER_ORDER,
     RawRecording,
@@ -56,6 +57,15 @@ class TestResample:
         rec = RawRecording(np.arange(10.0), np.arange(10.0))
         with pytest.raises(ParameterError):
             resample(rec, 2)
+
+    def test_subnormal_steps_rejected(self):
+        # finite samples, but each slope between them overflows to inf
+        rec = RawRecording(np.arange(200) * 1e-322,
+                           np.sin(np.linspace(0, 20, 200)))
+        with pytest.raises(DegenerateInputError,
+                           match=r"^time steps too small to interpolate "
+                                 r"\(smallest 9\.88131e-323 s\)$"):
+            resample(rec, 31)
 
 
 class TestButterworth:
