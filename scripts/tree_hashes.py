@@ -13,7 +13,11 @@ trials, 1 kHz x 30 s, seed 1234) and prints the sha256 of its ingested
 trajectories' value bytes, since `ingest-check` prints no values, and the
 sha256 of `pairwise_matrix`'s value bytes for each metric it accepts, with
 and without registration, on the first 8 planted trials, since no output
-file holds the registered amplitude or phase matrix. Then it prints the
+file holds the registered amplitude or phase matrix. Those are computed
+with every warp solved in this process; each registered matrix is then
+computed again with the DP pool forced to two workers, and the script
+exits 1 unless its hash is the same (with one usable CPU both runs solve
+in this process). Then it prints the
 sha256 of `registration._dp_path`'s path and cost for every ordered pair
 (i, j), i != j, of those 8 trials ingested at `grid_n` 201 with
 `dp_max_slope` 3, which pins a DP size other than the default. Last, it
@@ -36,6 +40,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from motionshape import registration  # noqa: E402
 from motionshape.analytics import (pairwise_matrix,  # noqa: E402
                                    t_two_sided_pvalue)
 from motionshape.cli import main as cli_main  # noqa: E402
@@ -62,6 +67,25 @@ def tree_hash(root: Path) -> str:
     return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
+@contextlib.contextmanager
+def dp_work_per_worker(units: int):
+    """The DP pool's work per worker while the block runs: sys.maxsize
+    keeps every solve in this process, 1 starts as many workers as there
+    are usable CPUs."""
+    saved = registration._DP_WORK_PER_WORKER
+    registration._DP_WORK_PER_WORKER = units
+    try:
+        yield
+    finally:
+        registration._DP_WORK_PER_WORKER = saved
+
+
+def matrix_digest(curves, metric: str, registered: bool,
+                  max_slope: int) -> str:
+    matrix = pairwise_matrix(curves, metric, registered, max_slope)
+    return hashlib.sha256(matrix.values.tobytes()).hexdigest()
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -70,6 +94,7 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 
 def main() -> int:
+    differ = []
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep `report`'s stdout comparable
         manifests = {}
@@ -94,11 +119,16 @@ def main() -> int:
         curves = ingest(manifests["planted"],
                         config).trajectories[:MATRIX_TRIALS]
         for metric, registered in MATRICES:
-            matrix = pairwise_matrix(curves, metric, registered,
-                                     config.dp_max_slope)
-            digest = hashlib.sha256(matrix.values.tobytes()).hexdigest()
+            with dp_work_per_worker(sys.maxsize):
+                digest = matrix_digest(curves, metric, registered,
+                                       config.dp_max_slope)
             name = f"{metric}_{'post' if registered else 'pre'}"
             print(f"{'planted':8s} {name:12s} matrix {digest}")
+            if registered:
+                with dp_work_per_worker(1):
+                    if matrix_digest(curves, metric, registered,
+                                     config.dp_max_slope) != digest:
+                        differ.append(name)
         dp_config = PipelineConfig(**DP_CONFIG)
         qs = [to_srvf(t).q for t in ingest(manifests["planted"], dp_config)
               .trajectories[:MATRIX_TRIALS]]
@@ -115,6 +145,10 @@ def main() -> int:
                          for t in np.arange(49) * 0.25])
     digest = hashlib.sha256(p_values.tobytes()).hexdigest()
     print(f"{'-':8s} {'t_pvalue':12s} values {digest}")
+    if differ:
+        print(f"error: with two DP workers these matrices differ: "
+              f"{', '.join(differ)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -23,6 +23,7 @@ from .preprocess import RawRecording, butterworth_lowpass, derivative, resample
 from .registration import (
     Alignment,
     RegistrationResult,
+    align_pairwise,
     align_to_reference,
     alignment_cost,
     amplitude_distance,

@@ -26,7 +26,7 @@ from .core import (
 )
 from .registration import (
     DEFAULT_MAX_SLOPE,
-    align_to_reference,
+    align_pairwise,
     cosine_distance,
     to_srvf,
 )
@@ -255,8 +255,8 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
                     labels: list[str] | None = None) -> DistanceMatrix:
     """All-pairs distances, optionally after per-pair elastic alignment.
 
-    With `registered`, row i aligns every other curve onto curve i in one
-    `align_to_reference` call, so each registered metric rejects a curve
+    With `registered`, row i aligns every other curve onto curve i as
+    `align_pairwise` does, so each registered metric rejects a curve
     whose L2 norm is below MIN_SIGNAL_NORM. The slightly asymmetric result
     is symmetrized as (D + D^T)/2. The phase metric only exists for
     registered pairs. Rows and columns are named by `labels`, or "0".."m-1"
@@ -274,11 +274,9 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
         labels = [str(i) for i in range(m)]
     d = np.zeros((m, m))
     if registered:
-        for i in range(m):
-            others = [j for j in range(m) if j != i]
-            row = align_to_reference([curves[j] for j in others], curves[i],
-                                     max_slope)
-            d[i, others] = [getattr(t, metric) for t in row.distances]
+        for i, row in enumerate(align_pairwise(curves, max_slope)):
+            d[i, np.arange(m) != i] = [getattr(t, metric)
+                                       for t in row.distances]
     elif metric == "amplitude":
         qs = [to_srvf(c).q for c in curves]
         for i, j in permutations(range(m), 2):

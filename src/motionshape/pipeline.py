@@ -8,6 +8,8 @@ Outputs are deterministic: same inputs and config give byte-identical files.
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -379,7 +381,9 @@ def write_report(out_dir: Path | str, report: CohortReport) -> None:
     """Write every report artifact of a full run into `out_dir`.
 
     Outputs: distances.csv, matrix_pre.csv, matrix_post.csv, stats.json,
-    mean_healthy.csv, and rolling/<label>.csv per trial.
+    mean_healthy.csv, and rolling/<label>.csv per trial. rolling/ is built
+    in a hidden directory inside `out_dir` and swapped in whole, so a rerun
+    keeps no file of a trial it did not score.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -387,11 +391,21 @@ def write_report(out_dir: Path | str, report: CohortReport) -> None:
     write_matrix_csv(out / "matrix_pre.csv", report.matrix_pre)
     write_matrix_csv(out / "matrix_post.csv", report.matrix_post)
     write_mean_csv(out / "mean_healthy.csv", report.mean)
-    rolling_dir = out / "rolling"
-    rolling_dir.mkdir(exist_ok=True)
-    for label, values in report.rolling.items():
-        write_rolling_csv(rolling_dir / f"{label}.csv", report.mean.grid.points,
-                          report.rolling_window, values)
+    staging = Path(tempfile.mkdtemp(prefix=".rolling-", dir=out))
+    try:
+        rolling = staging / "rolling"
+        rolling.mkdir()
+        for label, values in report.rolling.items():
+            write_rolling_csv(rolling / f"{label}.csv",
+                              report.mean.grid.points, report.rolling_window,
+                              values)
+        try:
+            (out / "rolling").rename(staging / "previous")
+        except FileNotFoundError:  # the first run into `out_dir`
+            pass
+        rolling.rename(out / "rolling")
+    finally:
+        shutil.rmtree(staging)
     write_stats_json(out / "stats.json", report)
 
 

@@ -11,6 +11,8 @@ away from 0 and infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 from math import gcd
 
 import numpy as np
@@ -25,6 +27,7 @@ from .core import (
     Trajectory,
     Warping,
     common_grid,
+    fork_map,
     inner_product,
     l2_norm,
 )
@@ -44,6 +47,7 @@ __all__ = [
     "warped_copy",
     "phase_amplitude_separation",
     "align_to_reference",
+    "align_pairwise",
 ]
 
 DEFAULT_MAX_SLOPE = 7
@@ -227,13 +231,52 @@ def optimal_warping(q_ref: SrvfCurve, q_mov: SrvfCurve,
     return Warping(q_ref.grid, gamma)
 
 
-def _align_srvfs(q_ref: SrvfCurve, qs: list[SrvfCurve],
+# The DP pool: a call of `_align_srvfs` solves its pairs in forked workers
+# when each worker gets at least this much work, counted as n^2 x E per
+# solve (the cells of its arrival-cost tensor; 357035 at n=101, slope 7).
+# On a 2-vCPU Xeon VM a 2-worker pool cost about 20 ms to start and hand
+# back, and one unit of work took about 20 ns, so two workers broke even at
+# 2-3 million units in all (6-8 solves at n=101, 60 at n=31, 2-4 at n=201).
+# At 2 million each they save at least as much as the pool costs.
+_DP_WORK_PER_WORKER = 2_000_000
+# the library's own solver; see `_dp_workers`
+_OWN_SOLVER = optimal_warping
+
+
+def _solve(pair: tuple[SrvfCurve, SrvfCurve],
+           max_slope: int) -> tuple[np.ndarray, np.ndarray]:
+    q_ref, q = pair
+    w = optimal_warping(q_ref, q, max_slope)
+    return w.gamma, group_action(q, w).q
+
+
+def _dp_workers(pairs: list[tuple[SrvfCurve, SrvfCurve]],
+                max_slope: int) -> int:
+    """Solves x n^2 x E // _DP_WORK_PER_WORKER: the workers worth starting.
+
+    One while `optimal_warping` is rebound (a tracer or a test spy counting
+    solves), so that every call is made where its caller can see it.
+    """
+    if not pairs or optimal_warping is not _OWN_SOLVER:
+        return 1
+    n = pairs[0][0].grid.n
+    edges = len(_edge_steps(min(max_slope, n - 1)))
+    return len(pairs) * n * n * edges // _DP_WORK_PER_WORKER
+
+
+def _align_srvfs(pairs: list[tuple[SrvfCurve, SrvfCurve]],
                  max_slope: int) -> tuple[list[Warping], list[np.ndarray]]:
-    """The optimal warp of each SRVF onto `q_ref`, and each warped SRVF's
-    values: one DP solve per curve. Every warp this module solves for is
-    solved here."""
-    warps = [optimal_warping(q_ref, q, max_slope) for q in qs]
-    return warps, [group_action(q, w).q for q, w in zip(qs, warps)]
+    """The optimal warp of each (reference, curve) SRVF pair, and each warped
+    curve's SRVF values: one DP solve per pair, all of them in one
+    `fork_map`. Every warp this module solves for is solved here."""
+    solved = fork_map(partial(_solve, max_slope=max_slope), pairs,
+                      _dp_workers(pairs, max_slope), "alignment")
+    warps, aligned_q = [], []
+    for (q_ref, _), (gamma, q) in zip(pairs, solved):
+        # rebuilt here: arrays that come back from a worker are writeable
+        warps.append(Warping(q_ref.grid, gamma))
+        aligned_q.append(q)
+    return warps, aligned_q
 
 
 def alignment_cost(q_ref: SrvfCurve, q_mov: SrvfCurve,
@@ -250,7 +293,7 @@ def amplitude_distance(b1: Trajectory, b2: Trajectory,
                        max_slope: int = DEFAULT_MAX_SLOPE) -> float:
     """Residual L2 distance between SRVFs after optimally warping b2 to b1."""
     q1 = to_srvf(b1)
-    _, (aligned,) = _align_srvfs(q1, [to_srvf(b2)], max_slope)
+    _, (aligned,) = _align_srvfs([(q1, to_srvf(b2))], max_slope)
     return l2_norm(q1.q - aligned, b1.grid)
 
 
@@ -326,7 +369,8 @@ def phase_amplitude_separation(curves: list[Trajectory], max_iter: int = 20,
     qbar_curve = qs[_medoid(qs, grid)]
     energies: list[float] = []
     for _ in range(max_iter):
-        warps, aligned_q = _align_srvfs(qbar_curve, qs, max_slope)
+        warps, aligned_q = _align_srvfs([(qbar_curve, q) for q in qs],
+                                        max_slope)
         qbar = np.mean(aligned_q, axis=0)
         qbar_curve = SrvfCurve(grid, qbar)
         energy = sum(l2_norm(a - qbar, grid) ** 2 for a in aligned_q)
@@ -350,6 +394,27 @@ def phase_amplitude_separation(curves: list[Trajectory], max_iter: int = 20,
                               tuple(energies))
 
 
+def _align_rows(curves: list[Trajectory], rows: list[tuple[int, list[int]]],
+                max_slope: int) -> list[Alignment]:
+    """One scored Alignment per row (r, others): curves[j] for each j in
+    `others` aligned onto curves[r]. Each curve's SRVF is taken once, and
+    every row's warps are solved in one `_align_srvfs` call before any
+    distance is computed."""
+    grid = common_grid(curves)
+    qs = [to_srvf(c) for c in curves]
+    pairs = [(r, j) for r, others in rows for j in others]
+    warps, aligned_q = _align_srvfs([(qs[r], qs[j]) for r, j in pairs],
+                                    max_slope)
+    aligned = [warped_copy(curves[j], w) for (_, j), w in zip(pairs, warps)]
+    distances = [DistanceTriple(amplitude=l2_norm(qs[r].q - q, grid),
+                                phase=phase_distance(w),
+                                cosine=cosine_distance(curves[r], a))
+                 for (r, _), w, q, a in zip(pairs, warps, aligned_q, aligned)]
+    ends = list(accumulate(len(others) for _, others in rows))
+    return [Alignment(warps[a:b], aligned[a:b], distances[a:b])
+            for a, b in zip([0, *ends], ends)]
+
+
 def align_to_reference(curves: list[Trajectory], reference: Trajectory,
                        max_slope: int = DEFAULT_MAX_SLOPE) -> Alignment:
     """Single-pass alignment of each curve to a fixed reference, scored.
@@ -360,14 +425,15 @@ def align_to_reference(curves: list[Trajectory], reference: Trajectory,
     A curve or reference whose L2 norm is below MIN_SIGNAL_NORM has no
     cosine distance, so it raises DegenerateInputError.
     """
-    grid = common_grid(curves)  # no curves: InsufficientDataError
-    common_grid([reference, *curves])
-    q_ref = to_srvf(reference)
-    warps, aligned_q = _align_srvfs(q_ref, [to_srvf(c) for c in curves],
-                                    max_slope)
-    aligned = [warped_copy(c, w) for c, w in zip(curves, warps)]
-    distances = [DistanceTriple(amplitude=l2_norm(q_ref.q - q, grid),
-                                phase=phase_distance(w),
-                                cosine=cosine_distance(reference, a))
-                 for w, q, a in zip(warps, aligned_q, aligned)]
-    return Alignment(warps, aligned, distances)
+    common_grid(curves)  # no curves: InsufficientDataError
+    return _align_rows([reference, *curves],
+                       [(0, list(range(1, len(curves) + 1)))], max_slope)[0]
+
+
+def align_pairwise(curves: list[Trajectory],
+                   max_slope: int = DEFAULT_MAX_SLOPE) -> list[Alignment]:
+    """Row i aligns every other curve, in order, onto curves[i], as
+    `align_to_reference` does; all m(m-1) warps are solved together."""
+    m = len(curves)
+    return _align_rows(curves, [(i, [j for j in range(m) if j != i])
+                                for i in range(m)], max_slope)

@@ -419,9 +419,9 @@ class TestOneSolvePerPair:
         through_seam = []
         seam = registration._align_srvfs
 
-        def counted(q_ref, qs, max_slope):
-            through_seam.append(len(qs))
-            return seam(q_ref, qs, max_slope)
+        def counted(pairs, max_slope):
+            through_seam.append(len(pairs))
+            return seam(pairs, max_slope)
 
         monkeypatch.setattr(registration, "_align_srvfs", counted)
         m = write_cohort(tmp_path, n_healthy=3, n_patients=2, seed=5,

@@ -20,6 +20,7 @@ from motionshape.core import DegenerateInputError, InsufficientDataError
 from motionshape import inputs, pipeline, registration
 from motionshape.preprocess import RawRecording
 from motionshape.cli import main
+from motionshape.analytics import pairwise_matrix
 from motionshape.inputs import ManifestError, PipelineConfig, load_manifest
 from motionshape.pipeline import IngestResult, ingest, run_pipeline
 from motionshape.synthetic import write_cohort
@@ -788,6 +789,86 @@ class TestIngestWorkers:
         assert err.count("\n") == 1
 
 
+class TestDpWorkers:
+    """Warp solves in forked worker processes against solves in this one."""
+
+    @staticmethod
+    def workers(monkeypatch, per_worker):
+        """Set the DP pool's work per worker; returns the worker counts
+        asked of `fork_map`, one per `_align_srvfs` call."""
+        monkeypatch.setattr(registration, "_DP_WORK_PER_WORKER", per_worker)
+        asked, real = [], registration.fork_map
+
+        def counted(fn, items, workers, stage):
+            asked.append(workers)
+            return real(fn, items, workers, stage)
+
+        monkeypatch.setattr(registration, "fork_map", counted)
+        return asked
+
+    def two_workers(self, monkeypatch):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs two usable CPUs")
+        return self.workers(monkeypatch, 1)
+
+    def test_same_report_tree(self, cohort_dir, tmp_path, monkeypatch):
+        argv = ["report", "--manifest", str(cohort_dir), "--grid-n", "61",
+                "--mean-max-iter", "10", "--out"]
+        asked = self.workers(monkeypatch, sys.maxsize)
+        assert main(argv + [str(tmp_path / "in_process")]) == 0
+        assert set(asked) == {0}
+        asked = self.two_workers(monkeypatch)
+        assert main(argv + [str(tmp_path / "workers")]) == 0
+        # the mean's iterations, the scoring pass, matrix_post
+        assert len(asked) >= 3 and min(asked) >= 2
+        assert tree_bytes(tmp_path / "workers") == \
+            tree_bytes(tmp_path / "in_process")
+
+    @pytest.mark.parametrize("metric", ["amplitude", "phase", "cosine"])
+    def test_same_registered_matrix(self, cohort_dir, monkeypatch, metric):
+        curves = ingest(cohort_dir, PipelineConfig(grid_n=61)).trajectories
+        self.workers(monkeypatch, sys.maxsize)
+        want = pairwise_matrix(curves, metric, registered=True).values
+        self.two_workers(monkeypatch)
+        got = pairwise_matrix(curves, metric, registered=True).values
+        assert np.array_equal(got, want)
+
+    def test_dead_worker_fails_cleanly(self, cohort_dir, monkeypatch, capsys):
+        parent, dp_path = os.getpid(), registration._dp_path
+
+        def die_in_worker(*args):
+            if os.getpid() != parent:  # forked workers inherit the patch
+                os._exit(1)
+            return dp_path(*args)
+
+        monkeypatch.setattr(registration, "_dp_path", die_in_worker)
+        self.two_workers(monkeypatch)
+        argv = ["report", "--manifest", str(cohort_dir), "--grid-n", "61",
+                "--out", str(cohort_dir.parent / "out")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: alignment worker died: ")
+        assert err.count("\n") == 1
+
+    def test_rebound_solver_sees_every_solve(self, cohort_dir, monkeypatch):
+        # a tracer or spy that rebinds optimal_warping keeps every solve in
+        # this process, where it counts them
+        curves = ingest(cohort_dir, PipelineConfig(grid_n=61)).trajectories
+        pids, real = [], registration.optimal_warping
+
+        def spy(*args):
+            pids.append(os.getpid())
+            return real(*args)
+
+        asked = self.two_workers(monkeypatch)
+        monkeypatch.setattr(registration, "optimal_warping", spy)
+        pairwise_matrix(curves, "cosine", registered=True)
+        m = len(curves)
+        assert pids == [os.getpid()] * (m * (m - 1))
+        assert asked == [1]
+
+
 class TestTrialReaders:
     """`_read_trial` (numpy's reader, the row reader as fallback) against
     the original per-row reader."""
@@ -954,6 +1035,63 @@ class TestRunPipeline:
         assert stats["skipped_trials"] == 1
         assert stats["skipped"][0]["label"] == "PX"
         assert len(report.scores) == 5
+
+
+def rolling_names(out):
+    return sorted(p.name for p in (out / "rolling").iterdir())
+
+
+class TestRerunIntoUsedOut:
+    """A rerun into a used --out leaves only its own rolling/ files."""
+
+    REPORT = ["distances.csv", "matrix_post.csv", "matrix_pre.csv",
+              "mean_healthy.csv", "rolling", "stats.json"]
+
+    @pytest.fixture
+    def six(self, cohort_dir):
+        """The 5-trial cohort plus P02, a good trial in p02.csv."""
+        write_trial(cohort_dir.parent / "p02.csv",
+                    [(i / 50, math.sin(i / 10)) for i in range(100)])
+        return extend_manifest(cohort_dir, "six.csv",
+                               [trial_row("P02", "p02.csv")])
+
+    def test_fewer_trials(self, cohort_dir, six, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(six, PipelineConfig(**FAST), out)
+        assert "P02.csv" in rolling_names(out)
+        report = run_pipeline(cohort_dir, PipelineConfig(**FAST), out)
+        assert rolling_names(out) == \
+            sorted(f"{s.label}.csv" for s in report.scores)
+        assert sorted(p.name for p in out.iterdir()) == self.REPORT
+
+    def test_skipped_trial(self, six, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(six, PipelineConfig(**FAST), out)
+        write_trial(six.parent / "p02.csv", [(i / 50, 0.0) for i in range(100)])
+        report = run_pipeline(six, PipelineConfig(**FAST), out, skip_bad=True)
+        assert [label for label, _ in report.skipped] == ["P02"]
+        assert "P02.csv" not in rolling_names(out)
+        assert len(rolling_names(out)) == len(report.scores) == 5
+        assert sorted(p.name for p in out.iterdir()) == self.REPORT
+
+    def test_failed_writer_keeps_the_old_rolling(self, cohort_dir, six,
+                                                 tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run_pipeline(six, PipelineConfig(**FAST), out)
+        before = tree_bytes(out / "rolling")
+        calls, write = [], pipeline.write_rolling_csv
+
+        def fail_second(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return write(*args)
+
+        monkeypatch.setattr(pipeline, "write_rolling_csv", fail_second)
+        with pytest.raises(OSError, match="disk full"):
+            run_pipeline(cohort_dir, PipelineConfig(**FAST), out)
+        assert tree_bytes(out / "rolling") == before
+        assert sorted(p.name for p in out.iterdir()) == self.REPORT
 
 
 class TestStatsOnDegenerateInput:
