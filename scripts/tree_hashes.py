@@ -7,7 +7,10 @@ Writes the planted cohort (`write_cohort` seed 1234) and the null cohort
 (seed 99, `null_effect=True`) into a temporary directory, runs all six CLI
 subcommands on each at the default config, and prints one line per run:
 the sha256 of its output tree and of its stdout. A tree's hash is the
-sha256 of its sorted "<relative path> <file sha256>" lines. Then it
+sha256 of its sorted "<relative path> <file sha256>" lines. Each
+subcommand that takes `--out` is run a second time into its used `--out`,
+and the script exits 1 unless that gives the same exit code, stdout and
+tree hash. Then it
 writes a long cohort shaped like the benchmark's `ingest_long_m40` (20 + 20
 trials, 1 kHz x 30 s, seed 1234) and prints the sha256 of its ingested
 trajectories' value bytes, since `ingest-check` prints no values, and the
@@ -94,7 +97,7 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 
 def main() -> int:
-    differ = []
+    differ, rerun_differ = [], []
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep `report`'s stdout comparable
         manifests = {}
@@ -110,6 +113,9 @@ def main() -> int:
                 tree = tree_hash(out) if out.exists() else "-"
                 print(f"{cohort:8s} {command:12s} tree {tree} "
                       f"stdout {stdout} rc {rc}")
+                if command != "ingest-check":
+                    if run(argv) != (rc, stdout) or tree_hash(out) != tree:
+                        rerun_differ.append(f"{cohort} {command}")
         config = PipelineConfig()
         manifest = write_cohort(Path("long"), **LONG_COHORT)
         values = hashlib.sha256()
@@ -148,8 +154,10 @@ def main() -> int:
     if differ:
         print(f"error: with two DP workers these matrices differ: "
               f"{', '.join(differ)}", file=sys.stderr)
-        return 1
-    return 0
+    if rerun_differ:
+        print(f"error: a rerun into the used --out changed these runs: "
+              f"{', '.join(rerun_differ)}", file=sys.stderr)
+    return 1 if differ or rerun_differ else 0
 
 
 if __name__ == "__main__":

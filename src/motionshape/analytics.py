@@ -255,7 +255,7 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
                     labels: list[str] | None = None) -> DistanceMatrix:
     """All-pairs distances, optionally after per-pair elastic alignment.
 
-    With `registered`, row i aligns every other curve onto curve i as
+    With `registered`, entry (i, j) aligns curve j onto curve i as
     `align_pairwise` does, so each registered metric rejects a curve
     whose L2 norm is below MIN_SIGNAL_NORM. The slightly asymmetric result
     is symmetrized as (D + D^T)/2. The phase metric only exists for
@@ -274,9 +274,9 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
         labels = [str(i) for i in range(m)]
     d = np.zeros((m, m))
     if registered:
-        for i, row in enumerate(align_pairwise(curves, max_slope)):
-            d[i, np.arange(m) != i] = [getattr(t, metric)
-                                       for t in row.distances]
+        triples = align_pairwise(curves, max_slope).distances
+        # a boolean mask fills row-major, the order of the pairs
+        d[~np.eye(m, dtype=bool)] = [getattr(t, metric) for t in triples]
     elif metric == "amplitude":
         qs = [to_srvf(c).q for c in curves]
         for i, j in permutations(range(m), 2):

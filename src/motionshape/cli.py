@@ -1,7 +1,7 @@
 """Command-line front-end.
 
 Each subcommand runs `pipeline.stages` up to the stage it needs, then
-writes that stage's files:
+writes that stage's files, which land in --out only if it succeeds:
 
     ingest-check   parse + preprocess every trial, report problems
     mean           elastic mean of the healthy cohort -> mean_healthy.csv
@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pl
 from .inputs import PipelineConfig
-from .outputs import (write_alignment_csvs, write_distances_csv,
+from .outputs import (publish, write_alignment_csvs, write_distances_csv,
                       write_mean_csv, write_stats_json)
 
 
@@ -50,10 +51,10 @@ def _config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**overrides)
 
 
-# Each handler gets the chain's record after its subcommand's last stage,
-# writes its files into `out` and returns what to print.
+# Each handler gets the chain's record after its subcommand's last stage and
+# writes its files into `into`, staged for `out`; it returns what to print.
 
-def _ingest_check(run: pl.Run, out) -> str:
+def _ingest_check(run: pl.Run, into, out) -> str:
     ingested = run.ingested
     lines = [f"ok      {it.label}  ({it.entry.cohort}, n={it.trajectory.grid.n})"
              for it in ingested.items]
@@ -63,31 +64,31 @@ def _ingest_check(run: pl.Run, out) -> str:
     return "\n".join(lines)
 
 
-def _mean(run: pl.Run, out: Path) -> str:
-    write_mean_csv(out / "mean_healthy.csv", run.separation.mean)
+def _mean(run: pl.Run, into: Path, out: Path) -> str:
+    write_mean_csv(into / "mean_healthy.csv", run.separation.mean)
     return (f"elastic mean written; iterations={run.separation.iterations} "
             f"converged={run.separation.converged}")
 
 
-def _align(run: pl.Run, out: Path) -> str:
-    write_alignment_csvs(out, [it.label for it in run.ingested.items],
+def _align(run: pl.Run, into: Path, out: Path) -> str:
+    write_alignment_csvs(into, [it.label for it in run.ingested.items],
                          run.alignment)
-    write_mean_csv(out / "mean_healthy.csv", run.separation.mean)
+    write_mean_csv(into / "mean_healthy.csv", run.separation.mean)
     return f"aligned {len(run.ingested.items)} trial(s) to the healthy mean"
 
 
-def _distances(run: pl.Run, out: Path) -> str:
-    write_distances_csv(out / "distances.csv", run.scores)
+def _distances(run: pl.Run, into: Path, out: Path) -> str:
+    write_distances_csv(into / "distances.csv", run.scores)
     return f"wrote {len(run.scores)} distance triple(s)"
 
 
-def _stats(run: pl.Run, out: Path) -> str:
-    write_stats_json(out / "stats.json", run.report)
+def _stats(run: pl.Run, into: Path, out: Path) -> str:
+    write_stats_json(into / "stats.json", run.report)
     return "wrote stats.json"
 
 
-def _report(run: pl.Run, out: Path) -> str:
-    pl.write_report(out, run.report)
+def _report(run: pl.Run, into: Path, out: Path) -> str:
+    pl.write_report(into, run.report)
     return (f"report complete: {len(run.report.scores)} trial(s), "
             f"{len(run.report.skipped)} skipped, outputs in {out}")
 
@@ -121,12 +122,12 @@ def main(argv=None) -> int:
     out = getattr(args, "out", None)
     try:
         config = _config(args)
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
-        run = next(run for stage, run in pl.stages(args.manifest, config,
-                                                   args.skip_bad)
-                   if stage == last)
-        print(handler(run, out))
+        with publish(out) if out is not None else nullcontext() as into:
+            run = next(run for stage, run in pl.stages(args.manifest, config,
+                                                       args.skip_bad)
+                       if stage == last)
+            text = handler(run, into, out)
+        print(text)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

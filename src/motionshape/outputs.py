@@ -1,4 +1,5 @@
-"""The output format: CSV and JSON writers for a run's files.
+"""The output format: CSV and JSON writers for a run's files, and `publish`,
+which moves a run's files into its output directory.
 
 Numbers are written with 9 significant digits everywhere, NaN spelled "nan".
 """
@@ -7,6 +8,8 @@ from __future__ import annotations
 
 import csv
 import json
+import tempfile
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -19,6 +22,7 @@ if TYPE_CHECKING:
     from .registration import Alignment
 
 __all__ = [
+    "publish",
     "write_csv",
     "write_distances_csv",
     "write_matrix_csv",
@@ -27,6 +31,30 @@ __all__ = [
     "write_rolling_csv",
     "write_stats_json",
 ]
+
+
+@contextmanager
+def publish(out: Path):
+    """Yield an empty staging directory to write a run's files into; when
+    the block ends without an exception, each top-level file or directory
+    there replaces its namesake in `out`, whole.
+
+    `out` is created if needed. A block that raises leaves `out` as it
+    was. The staging directory is hidden inside `out` and removed either
+    way, unless the process is killed.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
+        new, old = Path(staging, "new"), Path(staging, "old")
+        new.mkdir()
+        old.mkdir()
+        yield new
+        for entry in sorted(new.iterdir()):
+            target = out / entry.name
+            if entry.is_dir() or target.is_dir():  # replaced whole, not merged
+                with suppress(FileNotFoundError):  # nothing to replace
+                    target.rename(old / entry.name)
+            entry.replace(target)
 
 
 def _fmt(x: float) -> str:
@@ -73,6 +101,8 @@ def write_alignment_csvs(out_dir: Path, labels: list[str],
 
 def write_rolling_csv(path: Path, grid_points: np.ndarray, window: int,
                       values: np.ndarray) -> None:
+    """One trial's rolling correlation; creates the file's directory."""
+    path.parent.mkdir(exist_ok=True)
     h = grid_points[1] - grid_points[0]
     centers = grid_points[: values.size] + 0.5 * (window - 1) * h
     write_csv(path, ["t_center", "correlation"],

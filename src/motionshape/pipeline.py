@@ -8,8 +8,6 @@ Outputs are deterministic: same inputs and config give byte-identical files.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -34,8 +32,8 @@ from .core import (
 from .inputs import (ManifestEntry, ManifestError, PipelineConfig,
                      load_manifest, read_trial, trial_labels)
 
-from .outputs import (write_distances_csv, write_matrix_csv, write_mean_csv,
-                      write_rolling_csv, write_stats_json)
+from .outputs import (publish, write_distances_csv, write_matrix_csv,
+                      write_mean_csv, write_rolling_csv, write_stats_json)
 from .preprocess import butterworth_lowpass, derivative, resample
 from .registration import (
     MIN_SIGNAL_NORM,
@@ -378,40 +376,25 @@ def stages(manifest_path: Path | str, config: PipelineConfig,
 
 
 def write_report(out_dir: Path | str, report: CohortReport) -> None:
-    """Write every report artifact of a full run into `out_dir`.
-
-    Outputs: distances.csv, matrix_pre.csv, matrix_post.csv, stats.json,
-    mean_healthy.csv, and rolling/<label>.csv per trial. rolling/ is built
-    in a hidden directory inside `out_dir` and swapped in whole, so a rerun
-    keeps no file of a trial it did not score.
-    """
+    """Write every report artifact of a full run into the directory
+    `out_dir`: distances.csv, matrix_pre.csv, matrix_post.csv, stats.json,
+    mean_healthy.csv, and rolling/<label>.csv per trial."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_distances_csv(out / "distances.csv", report.scores)
     write_matrix_csv(out / "matrix_pre.csv", report.matrix_pre)
     write_matrix_csv(out / "matrix_post.csv", report.matrix_post)
     write_mean_csv(out / "mean_healthy.csv", report.mean)
-    staging = Path(tempfile.mkdtemp(prefix=".rolling-", dir=out))
-    try:
-        rolling = staging / "rolling"
-        rolling.mkdir()
-        for label, values in report.rolling.items():
-            write_rolling_csv(rolling / f"{label}.csv",
-                              report.mean.grid.points, report.rolling_window,
-                              values)
-        try:
-            (out / "rolling").rename(staging / "previous")
-        except FileNotFoundError:  # the first run into `out_dir`
-            pass
-        rolling.rename(out / "rolling")
-    finally:
-        shutil.rmtree(staging)
+    for label, values in report.rolling.items():
+        write_rolling_csv(out / "rolling" / f"{label}.csv",
+                          report.mean.grid.points, report.rolling_window,
+                          values)
     write_stats_json(out / "stats.json", report)
 
 
 def run_pipeline(manifest_path: Path | str, config: PipelineConfig,
                  out_dir: Path | str, skip_bad: bool = False) -> CohortReport:
-    """Run the whole chain and write its report into `out_dir`."""
+    """Run the whole chain, then publish its report into `out_dir`."""
     _, run = list(stages(manifest_path, config, skip_bad))[-1]
-    write_report(out_dir, run.report)
+    with publish(Path(out_dir)) as staging:
+        write_report(staging, run.report)
     return run.report

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
+from itertools import permutations
 from math import gcd
 
 import numpy as np
@@ -394,15 +394,13 @@ def phase_amplitude_separation(curves: list[Trajectory], max_iter: int = 20,
                               tuple(energies))
 
 
-def _align_rows(curves: list[Trajectory], rows: list[tuple[int, list[int]]],
-                max_slope: int) -> list[Alignment]:
-    """One scored Alignment per row (r, others): curves[j] for each j in
-    `others` aligned onto curves[r]. Each curve's SRVF is taken once, and
-    every row's warps are solved in one `_align_srvfs` call before any
-    distance is computed."""
+def _align_pairs(curves: list[Trajectory], pairs: list[tuple[int, int]],
+                 max_slope: int) -> Alignment:
+    """curves[j] aligned onto curves[r] for each (r, j) in `pairs`, scored,
+    in order. Each curve's SRVF is taken once, and every warp is solved in
+    one `_align_srvfs` call before any distance is computed."""
     grid = common_grid(curves)
     qs = [to_srvf(c) for c in curves]
-    pairs = [(r, j) for r, others in rows for j in others]
     warps, aligned_q = _align_srvfs([(qs[r], qs[j]) for r, j in pairs],
                                     max_slope)
     aligned = [warped_copy(curves[j], w) for (_, j), w in zip(pairs, warps)]
@@ -410,9 +408,7 @@ def _align_rows(curves: list[Trajectory], rows: list[tuple[int, list[int]]],
                                 phase=phase_distance(w),
                                 cosine=cosine_distance(curves[r], a))
                  for (r, _), w, q, a in zip(pairs, warps, aligned_q, aligned)]
-    ends = list(accumulate(len(others) for _, others in rows))
-    return [Alignment(warps[a:b], aligned[a:b], distances[a:b])
-            for a, b in zip([0, *ends], ends)]
+    return Alignment(warps, aligned, distances)
 
 
 def align_to_reference(curves: list[Trajectory], reference: Trajectory,
@@ -426,14 +422,14 @@ def align_to_reference(curves: list[Trajectory], reference: Trajectory,
     cosine distance, so it raises DegenerateInputError.
     """
     common_grid(curves)  # no curves: InsufficientDataError
-    return _align_rows([reference, *curves],
-                       [(0, list(range(1, len(curves) + 1)))], max_slope)[0]
+    return _align_pairs([reference, *curves],
+                        [(0, j) for j in range(1, len(curves) + 1)], max_slope)
 
 
 def align_pairwise(curves: list[Trajectory],
-                   max_slope: int = DEFAULT_MAX_SLOPE) -> list[Alignment]:
-    """Row i aligns every other curve, in order, onto curves[i], as
-    `align_to_reference` does; all m(m-1) warps are solved together."""
-    m = len(curves)
-    return _align_rows(curves, [(i, [j for j in range(m) if j != i])
-                                for i in range(m)], max_slope)
+                   max_slope: int = DEFAULT_MAX_SLOPE) -> Alignment:
+    """Curve j aligned onto curve i and scored, as `align_to_reference`
+    does, for each (i, j) of `itertools.permutations(range(m), 2)`; all
+    m(m-1) warps are solved together."""
+    return _align_pairs(curves, list(permutations(range(len(curves)), 2)),
+                        max_slope)

@@ -17,11 +17,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import motionshape
 from motionshape.core import DegenerateInputError, InsufficientDataError
-from motionshape import inputs, pipeline, registration
+from motionshape import cli, inputs, pipeline, registration
 from motionshape.preprocess import RawRecording
 from motionshape.cli import main
 from motionshape.analytics import pairwise_matrix
 from motionshape.inputs import ManifestError, PipelineConfig, load_manifest
+from motionshape.outputs import publish
 from motionshape.pipeline import IngestResult, ingest, run_pipeline
 from motionshape.synthetic import write_cohort
 
@@ -1092,6 +1093,108 @@ class TestRerunIntoUsedOut:
             run_pipeline(cohort_dir, PipelineConfig(**FAST), out)
         assert tree_bytes(out / "rolling") == before
         assert sorted(p.name for p in out.iterdir()) == self.REPORT
+
+
+def entries(out):
+    """Every path under `out`, directories and hidden names included."""
+    return sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
+
+
+def hidden(out):
+    return [p.name for p in out.iterdir() if p.name.startswith(".")]
+
+
+def fail(*args):
+    raise OSError("disk full")
+
+
+class TestPublish:
+    """A run's files land in --out only when it succeeds, each replacing
+    its namesake whole."""
+
+    @pytest.fixture
+    def used(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "d").mkdir(parents=True)
+        (out / "d" / "old.txt").write_text("old")
+        (out / "f").mkdir()
+        (out / "a.txt").write_text("old")
+        (out / "keep.txt").write_text("keep")
+        return out
+
+    def test_entries_replace_their_namesakes(self, used):
+        with publish(used) as into:
+            (into / "a.txt").write_text("new")
+            (into / "d").mkdir()
+            (into / "d" / "new.txt").write_text("new")
+            (into / "f").write_text("now a file")
+            (into / "b.txt").write_text("new")
+            assert (used / "a.txt").read_text() == "old"  # not yet published
+            assert not (used / "b.txt").exists()
+        assert tree_bytes(used) == {"a.txt": b"new", "b.txt": b"new",
+                                    "d/new.txt": b"new", "f": b"now a file",
+                                    "keep.txt": b"keep"}
+        assert not hidden(used)
+
+    def test_raising_block_leaves_out_as_it_was(self, used):
+        before, listing = tree_bytes(used), entries(used)
+        with pytest.raises(OSError, match="disk full"):
+            with publish(used) as into:
+                (into / "a.txt").write_text("new")
+                (into / "d").mkdir()
+                fail()
+        assert tree_bytes(used) == before and entries(used) == listing
+
+    @pytest.mark.parametrize("command, module, last_writer", [
+        ("align", cli, "write_mean_csv"),
+        ("report", pipeline, "write_stats_json"),
+    ])
+    def test_failed_rerun_keeps_the_previous_tree(self, cohort_dir, tmp_path,
+                                                  monkeypatch, capsys,
+                                                  command, module,
+                                                  last_writer):
+        out = tmp_path / "out"
+        args = ["--out", str(out), "--grid-n", "61", "--mean-max-iter", "10"]
+        assert main([command, "--manifest", str(cohort_dir)] + args) == 0
+        before, listing = tree_bytes(out), entries(out)
+        assert not hidden(out)
+        other = write_cohort(tmp_path / "other", n_healthy=3, n_patients=3,
+                             seed=6, rate_hz=50.0, duration_s=2.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, last_writer, fail)
+            assert main([command, "--manifest", str(other)] + args) == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert tree_bytes(out) == before and entries(out) == listing
+        # unpatched, the other cohort's rerun replaces the tree
+        assert main([command, "--manifest", str(other)] + args) == 0
+        assert tree_bytes(out) != before
+        assert not hidden(out)
+
+    def test_failed_run_pipeline_keeps_the_previous_tree(
+            self, cohort_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run_pipeline(cohort_dir, PipelineConfig(**FAST), out)
+        before, listing = tree_bytes(out), entries(out)
+        other = write_cohort(tmp_path / "other", n_healthy=3, n_patients=3,
+                             seed=6, rate_hz=50.0, duration_s=2.0)
+        monkeypatch.setattr(pipeline, "write_stats_json", fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_pipeline(other, PipelineConfig(**FAST), out)
+        assert tree_bytes(out) == before and entries(out) == listing
+
+    def test_out_naming_a_file_refused_before_ingest(self, cohort_dir,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+        def ingest(*args, **kwargs):
+            pytest.fail("ingest called")
+
+        monkeypatch.setattr(pipeline, "ingest", ingest)
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        rc = main(["report", "--manifest", str(cohort_dir), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "not a directory"
 
 
 class TestStatsOnDegenerateInput:
