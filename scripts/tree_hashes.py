@@ -17,10 +17,10 @@ trajectories' value bytes, since `ingest-check` prints no values, and the
 sha256 of `pairwise_matrix`'s value bytes for each metric it accepts, with
 and without registration, on the first 8 planted trials, since no output
 file holds the registered amplitude or phase matrix. Those are computed
-with every warp solved in this process; each registered matrix is then
-computed again with the DP pool forced to two workers, and the script
-exits 1 unless its hash is the same (with one usable CPU both runs solve
-in this process). Then it prints the
+in this process, outside a `worker_pool` block; the ingested values and
+each registered matrix are then computed again inside one, so in worker
+processes, and the script exits 1 unless the hash is the same (with one
+usable CPU both runs stay in this process). Then it prints the
 sha256 of `registration._dp_path`'s path and cost for every ordered pair
 (i, j), i != j, of those 8 trials ingested at `grid_n` 201 with
 `dp_max_slope` 3, which pins a DP size other than the default. Last, it
@@ -43,10 +43,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from motionshape import registration  # noqa: E402
 from motionshape.analytics import (pairwise_matrix,  # noqa: E402
                                    t_two_sided_pvalue)
 from motionshape.cli import main as cli_main  # noqa: E402
+from motionshape.core import worker_pool  # noqa: E402
 from motionshape.inputs import PipelineConfig  # noqa: E402
 from motionshape.pipeline import ingest  # noqa: E402
 from motionshape.registration import _dp_path, to_srvf  # noqa: E402
@@ -70,17 +70,11 @@ def tree_hash(root: Path) -> str:
     return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
-@contextlib.contextmanager
-def dp_work_per_worker(units: int):
-    """The DP pool's work per worker while the block runs: sys.maxsize
-    keeps every solve in this process, 1 starts as many workers as there
-    are usable CPUs."""
-    saved = registration._DP_WORK_PER_WORKER
-    registration._DP_WORK_PER_WORKER = units
-    try:
-        yield
-    finally:
-        registration._DP_WORK_PER_WORKER = saved
+def values_digest(manifest: Path, config: PipelineConfig) -> str:
+    values = hashlib.sha256()
+    for trajectory in ingest(manifest, config).trajectories:
+        values.update(trajectory.values.tobytes())
+    return values.hexdigest()
 
 
 def matrix_digest(curves, metric: str, registered: bool,
@@ -118,20 +112,20 @@ def main() -> int:
                         rerun_differ.append(f"{cohort} {command}")
         config = PipelineConfig()
         manifest = write_cohort(Path("long"), **LONG_COHORT)
-        values = hashlib.sha256()
-        for trajectory in ingest(manifest, config).trajectories:
-            values.update(trajectory.values.tobytes())
-        print(f"{'long':8s} {'ingest':12s} values {values.hexdigest()}")
+        digest = values_digest(manifest, config)
+        print(f"{'long':8s} {'ingest':12s} values {digest}")
+        with worker_pool():
+            if values_digest(manifest, config) != digest:
+                differ.append("long ingest")
         curves = ingest(manifests["planted"],
                         config).trajectories[:MATRIX_TRIALS]
         for metric, registered in MATRICES:
-            with dp_work_per_worker(sys.maxsize):
-                digest = matrix_digest(curves, metric, registered,
-                                       config.dp_max_slope)
+            digest = matrix_digest(curves, metric, registered,
+                                   config.dp_max_slope)
             name = f"{metric}_{'post' if registered else 'pre'}"
             print(f"{'planted':8s} {name:12s} matrix {digest}")
             if registered:
-                with dp_work_per_worker(1):
+                with worker_pool():
                     if matrix_digest(curves, metric, registered,
                                      config.dp_max_slope) != digest:
                         differ.append(name)
@@ -152,7 +146,7 @@ def main() -> int:
     digest = hashlib.sha256(p_values.tobytes()).hexdigest()
     print(f"{'-':8s} {'t_pvalue':12s} values {digest}")
     if differ:
-        print(f"error: with two DP workers these matrices differ: "
+        print(f"error: in a worker pool these results differ: "
               f"{', '.join(differ)}", file=sys.stderr)
     if rerun_differ:
         print(f"error: a rerun into the used --out changed these runs: "

@@ -1,7 +1,8 @@
 """Command-line front-end.
 
-Each subcommand runs `pipeline.stages` up to the stage it needs, then
-writes that stage's files, which land in --out only if it succeeds:
+Each subcommand runs `pipeline.stages` up to the stage it needs, in one
+worker pool, then writes that stage's files, which land in --out only if
+it succeeds:
 
     ingest-check   parse + preprocess every trial, report problems
     mean           elastic mean of the healthy cohort -> mean_healthy.csv
@@ -23,6 +24,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pl
+from .core import worker_pool
 from .inputs import PipelineConfig
 from .outputs import (publish, write_alignment_csvs, write_distances_csv,
                       write_mean_csv, write_stats_json)
@@ -122,7 +124,8 @@ def main(argv=None) -> int:
     out = getattr(args, "out", None)
     try:
         config = _config(args)
-        with publish(out) if out is not None else nullcontext() as into:
+        with (publish(out) if out is not None else nullcontext()) as into, \
+                worker_pool():
             run = next(run for stage, run in pl.stages(args.manifest, config,
                                                        args.skip_bad)
                        if stage == last)

@@ -1,4 +1,4 @@
-"""Shared domain types, numerical primitives and the fork worker pool.
+"""Shared domain types, numerical primitives and the run's fork worker pool.
 
 Every curve in this package lives on a common uniform grid over normalized
 time [0, 1]. The types below are immutable after construction (their arrays
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "inner_product",
     "l2_norm",
     "fork_map",
+    "worker_pool",
 ]
 
 
@@ -187,35 +189,64 @@ def l2_norm(f: np.ndarray, grid: TimeGrid) -> float:
     return float(np.sqrt(max(inner_product(f, f, grid), 0.0)))
 
 
-def fork_map(fn: Callable, items: Sequence, workers: int,
-             stage: str) -> Iterable:
-    """`fn` of each item, in order, in up to `workers` forked processes.
+# the open `worker_pool` block, and its fork pool once a map has started it
+_in_run = False
+_executor = None
 
-    The pool gets min(workers, usable CPUs, len(items)) workers, each given
-    one contiguous chunk of `items`, and the results come back as a list.
-    With fewer than two, or on a platform without fork, this is the lazy
-    `map(fn, items)` in this process, so a caller that stops at one result
-    computes no later ones. A worker that dies raises OSError naming
-    `stage`. `fn` and each result are pickled between processes.
+
+@contextmanager
+def worker_pool():
+    """Let every `fork_map` call inside the block share one fork pool.
+
+    The pool starts on the first call that can use it and is shut down
+    when the block exits, so no worker outlives the block; a block that
+    raises cancels the pool's queued work first. A nested block uses the
+    outer block's pool.
     """
-    if not hasattr(os, "fork"):  # Windows: no fork start method
-        workers = 1
+    global _in_run, _executor
+    if _in_run:
+        yield
+        return
+    _in_run, failed = True, True
+    try:
+        yield
+        failed = False
+    finally:
+        pool, _in_run, _executor = _executor, False, None
+        if pool is not None:
+            pool.shutdown(cancel_futures=failed)
+
+
+def fork_map(fn: Callable, items: Sequence, stage: str) -> Iterable:
+    """`fn` of each item, in order.
+
+    Inside a `worker_pool` block, with two or more items, two or more
+    usable CPUs and `os.fork`, the block's pool runs it: one worker per
+    usable CPU, each given one contiguous chunk of `items`, and the results
+    come back as a list. Otherwise this is the lazy `map(fn, items)` in
+    this process, so a caller that stops at one result computes no later
+    ones. A worker that dies raises OSError naming `stage`, and the broken
+    pool is dropped. `fn` and each result are pickled between processes.
+    """
+    global _executor
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
         cpus = os.cpu_count() or 1
-    workers = min(workers, cpus, len(items))
-    if workers <= 1:
+    # Windows has no fork start method
+    if not _in_run or len(items) < 2 or cpus < 2 or not hasattr(os, "fork"):
         return map(fn, items)
     # imported here: a run that starts no pool does not pay for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    if _executor is None:
+        _executor = ProcessPoolExecutor(
+            cpus, mp_context=multiprocessing.get_context("fork"))
     try:
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(fn, items,
-                                 chunksize=-(-len(items) // workers)))
+        return list(_executor.map(fn, items, chunksize=-(-len(items) // cpus)))
     except BrokenProcessPool as exc:
+        _executor.shutdown()
+        _executor = None
         raise OSError(f"{stage} worker died: {exc}") from exc

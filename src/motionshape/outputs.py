@@ -8,12 +8,34 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import shutil
 import tempfile
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # Windows: no flock
+    fcntl = None
+
+# descriptors of the output directories this process holds locked
+_locked: set[int] = set()
+
+
+def _close_locked():
+    """In a forked child: close its copies of the locked descriptors, so a
+    worker that outlives a killed run does not keep its --out locked."""
+    for fd in _locked:
+        os.close(fd)
+    _locked.clear()
+
+
+if fcntl is not None:
+    os.register_at_fork(after_in_child=_close_locked)
 
 if TYPE_CHECKING:
     from .analytics import DistanceMatrix
@@ -34,17 +56,41 @@ __all__ = [
 
 
 @contextmanager
+def _claim(out: Path):
+    """Hold `out` locked while the block runs, first removing the staging
+    left in it by a killed run; OSError if another run holds it."""
+    fd = os.open(out, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OSError(f"{out}: --out is in use by another run") from None
+        _locked.add(fd)
+        for stale in out.glob(".staging-*"):
+            shutil.rmtree(stale)
+        yield
+    finally:
+        _locked.discard(fd)
+        os.close(fd)  # which releases the lock
+
+
+@contextmanager
 def publish(out: Path):
     """Yield an empty staging directory to write a run's files into; when
     the block ends without an exception, each top-level file or directory
     there replaces its namesake in `out`, whole.
 
-    `out` is created if needed. A block that raises leaves `out` as it
-    was. The staging directory is hidden inside `out` and removed either
-    way, unless the process is killed.
+    `out` is created if needed. While the block runs, `out` is locked
+    (`flock` on the directory), so a second run into it fails at once with
+    an OSError, and every `.staging-*` left in `out` by a killed run is
+    removed first; where `fcntl` does not exist there is no lock and no
+    such clean-up. A block that raises leaves `out` as it was. The staging
+    directory is hidden inside `out` and removed either way, unless the
+    process is killed.
     """
     out.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
+    with _claim(out) if fcntl is not None else nullcontext(), \
+            tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
         new, old = Path(staging, "new"), Path(staging, "old")
         new.mkdir()
         old.mkdir()

@@ -28,6 +28,7 @@ from .core import (
     Trajectory,
     fork_map,
     l2_norm,
+    worker_pool,
 )
 from .inputs import (ManifestEntry, ManifestError, PipelineConfig,
                      load_manifest, read_trial, trial_labels)
@@ -76,14 +77,6 @@ class IngestResult:
         return [it.trajectory for it in self.items]
 
 
-# Ingest runs in worker processes only when each has this many bytes of
-# trial files to read. On a 2-vCPU Xeon VM, starting a 2-worker fork pool
-# took 33-41 ms (12-16 ms of it imports) and ingest 11-12 ms per MiB. Two
-# workers save half the parse time, so they break even at about 7 MiB in
-# all; at 8 MiB each they save about twice the start-up.
-_BYTES_PER_WORKER = 8 << 20
-
-
 def _ingest_trial(entry: ManifestEntry,
                   config: PipelineConfig) -> Trajectory | ValueError:
     """One trial read, resampled, filtered and checked.
@@ -122,17 +115,6 @@ def _ingest_trial(entry: ManifestEntry,
     return traj
 
 
-def _ingest_workers(entries: list[ManifestEntry]) -> int:
-    """Trial-file bytes // _BYTES_PER_WORKER: the workers worth starting."""
-    size = 0
-    for e in entries:
-        try:
-            size += e.trial_path.stat().st_size
-        except OSError:  # reported when the trial is read
-            pass
-    return size // _BYTES_PER_WORKER
-
-
 def ingest(manifest_path: Path | str, config: PipelineConfig,
            skip_bad: bool = False) -> IngestResult:
     """Load, resample, and smooth every trial named by the manifest.
@@ -143,16 +125,16 @@ def ingest(manifest_path: Path | str, config: PipelineConfig,
     cosine distance exists for it. So is a constant one (derivative L2 norm
     at most MIN_VARIATION_RATIO times the signal's): it has no shape to
     align. So is one whose L2 norm, or its derivative's, overflows. Every
-    error raised for a trial names its file. Large cohorts are read in
-    worker processes; the result, and which error is raised, are the same
-    as when read in this one.
+    error raised for a trial names its file. Inside a `core.worker_pool`
+    block the trials are read in worker processes; the result, and which
+    error is raised, are the same as when read in this one.
     """
     entries = load_manifest(manifest_path)
     if not entries:
         raise InsufficientDataError(f"{manifest_path}: manifest lists no trials")
 
     trajectories = fork_map(partial(_ingest_trial, config=config), entries,
-                            _ingest_workers(entries), "ingest")
+                            "ingest")
     items, skipped = [], []
     for e, label, traj in zip(entries, trial_labels(entries), trajectories):
         if isinstance(traj, ValueError):
@@ -393,8 +375,10 @@ def write_report(out_dir: Path | str, report: CohortReport) -> None:
 
 def run_pipeline(manifest_path: Path | str, config: PipelineConfig,
                  out_dir: Path | str, skip_bad: bool = False) -> CohortReport:
-    """Run the whole chain, then publish its report into `out_dir`."""
-    _, run = list(stages(manifest_path, config, skip_bad))[-1]
+    """Run the whole chain in one worker pool, then publish its report
+    into `out_dir`."""
+    with worker_pool():
+        _, run = list(stages(manifest_path, config, skip_bad))[-1]
     with publish(Path(out_dir)) as staging:
         write_report(staging, run.report)
     return run.report

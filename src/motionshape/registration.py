@@ -231,15 +231,8 @@ def optimal_warping(q_ref: SrvfCurve, q_mov: SrvfCurve,
     return Warping(q_ref.grid, gamma)
 
 
-# The DP pool: a call of `_align_srvfs` solves its pairs in forked workers
-# when each worker gets at least this much work, counted as n^2 x E per
-# solve (the cells of its arrival-cost tensor; 357035 at n=101, slope 7).
-# On a 2-vCPU Xeon VM a 2-worker pool cost about 20 ms to start and hand
-# back, and one unit of work took about 20 ns, so two workers broke even at
-# 2-3 million units in all (6-8 solves at n=101, 60 at n=31, 2-4 at n=201).
-# At 2 million each they save at least as much as the pool costs.
-_DP_WORK_PER_WORKER = 2_000_000
-# the library's own solver; see `_dp_workers`
+# the library's own solver: while `optimal_warping` is rebound (a tracer or a
+# test spy counting solves), every solve is made where the rebinding sees it
 _OWN_SOLVER = optimal_warping
 
 
@@ -250,27 +243,14 @@ def _solve(pair: tuple[SrvfCurve, SrvfCurve],
     return w.gamma, group_action(q, w).q
 
 
-def _dp_workers(pairs: list[tuple[SrvfCurve, SrvfCurve]],
-                max_slope: int) -> int:
-    """Solves x n^2 x E // _DP_WORK_PER_WORKER: the workers worth starting.
-
-    One while `optimal_warping` is rebound (a tracer or a test spy counting
-    solves), so that every call is made where its caller can see it.
-    """
-    if not pairs or optimal_warping is not _OWN_SOLVER:
-        return 1
-    n = pairs[0][0].grid.n
-    edges = len(_edge_steps(min(max_slope, n - 1)))
-    return len(pairs) * n * n * edges // _DP_WORK_PER_WORKER
-
-
 def _align_srvfs(pairs: list[tuple[SrvfCurve, SrvfCurve]],
                  max_slope: int) -> tuple[list[Warping], list[np.ndarray]]:
     """The optimal warp of each (reference, curve) SRVF pair, and each warped
     curve's SRVF values: one DP solve per pair, all of them in one
     `fork_map`. Every warp this module solves for is solved here."""
-    solved = fork_map(partial(_solve, max_slope=max_slope), pairs,
-                      _dp_workers(pairs, max_slope), "alignment")
+    solve = partial(_solve, max_slope=max_slope)
+    solved = (map(solve, pairs) if optimal_warping is not _OWN_SOLVER
+              else fork_map(solve, pairs, "alignment"))
     warps, aligned_q = [], []
     for (q_ref, _), (gamma, q) in zip(pairs, solved):
         # rebuilt here: arrays that come back from a worker are writeable

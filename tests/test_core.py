@@ -1,4 +1,6 @@
+import multiprocessing
 import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from motionshape.core import (
     common_grid,
     fork_map,
     inner_product,
+    worker_pool,
 )
 
 TEST_PROCESS = os.getpid()
@@ -152,27 +155,65 @@ two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
 
 class TestForkMap:
     @two_cpus
-    def test_order_kept_on_uneven_chunks(self):
+    def test_order_kept_on_uneven_chunks(self, pools):
         # chunks of 3 and 2 items
-        got = fork_map(pid_and_square, list(range(5)), 2, "demo")
+        with worker_pool():
+            got = fork_map(pid_and_square, list(range(5)), "demo")
         assert [sq for _, sq in got] == [0, 1, 4, 9, 16]
         assert TEST_PROCESS not in {pid for pid, _ in got}
+        assert [pool.maps for pool in pools] == [[5]]
 
-    @pytest.mark.parametrize("workers, items", [(1, [1, 2, 3]), (0, [1, 2]),
-                                                (4, [1])])
-    def test_lazy_in_process(self, workers, items):
+    @pytest.mark.parametrize("case", ["no_pool", "one_cpu", "one_item",
+                                      "no_fork"])
+    def test_lazy_in_process(self, monkeypatch, pools, case):
+        items = [1] if case == "one_item" else [1, 2, 3]
+        if case == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        if case == "no_fork":
+            monkeypatch.delattr(os, "fork")
         seen = []
 
         def record(x):
             seen.append(x)
             return os.getpid(), x
 
-        got = fork_map(record, items, workers, "demo")
-        assert seen == []
-        assert next(got) == (TEST_PROCESS, items[0])
-        assert seen == items[:1]
+        with nullcontext() if case == "no_pool" else worker_pool():
+            got = fork_map(record, items, "demo")
+            assert seen == []
+            assert next(got) == (TEST_PROCESS, items[0])
+            assert seen == items[:1]
+        assert pools == []
 
     @two_cpus
-    def test_dead_worker_names_the_stage(self):
-        with pytest.raises(OSError, match=r"^demo worker died: "):
-            fork_map(die_in_worker, [1, 2], 2, "demo")
+    def test_dead_worker_names_the_stage(self, pools):
+        with worker_pool():
+            with pytest.raises(OSError, match=r"^demo worker died: "):
+                fork_map(die_in_worker, [1, 2], "demo")
+            # the broken pool was dropped; the next map starts a new one
+            got = fork_map(pid_and_square, [1, 2], "demo")
+        assert [sq for _, sq in got] == [1, 4]
+        assert len(pools) == 2
+        assert multiprocessing.active_children() == []
+
+    @two_cpus
+    def test_one_pool_per_block(self, pools):
+        with worker_pool():
+            got = fork_map(pid_and_square, [1, 2], "demo")
+            with worker_pool():  # nested: the outer block's pool
+                got += fork_map(pid_and_square, [3, 4, 5], "demo")
+            got += fork_map(pid_and_square, [6, 7], "demo")
+            workers = multiprocessing.active_children()
+        assert [sq for _, sq in got] == [1, 4, 9, 16, 25, 36, 49]
+        assert {pid for pid, _ in got} <= {p.pid for p in workers}
+        assert [(pool.maps, pool.cancelled) for pool in pools] == \
+            [([2, 3, 2], False)]
+        assert multiprocessing.active_children() == []
+
+    @two_cpus
+    def test_block_that_raises_cancels_queued_work(self, pools):
+        with pytest.raises(KeyError, match="stop"):
+            with worker_pool():
+                fork_map(pid_and_square, [1, 2], "demo")
+                raise KeyError("stop")
+        assert [pool.cancelled for pool in pools] == [True]
+        assert multiprocessing.active_children() == []

@@ -3,11 +3,14 @@ import csv
 import errno
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,9 +18,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+try:
+    import fcntl
+except ImportError:  # Windows: no flock
+    fcntl = None
+
 import motionshape
-from motionshape.core import DegenerateInputError, InsufficientDataError
-from motionshape import cli, inputs, pipeline, registration
+from motionshape.core import (DegenerateInputError, InsufficientDataError,
+                              worker_pool)
+from motionshape import cli, inputs, outputs, pipeline, registration
 from motionshape.preprocess import RawRecording
 from motionshape.cli import main
 from motionshape.analytics import pairwise_matrix
@@ -695,6 +704,20 @@ class TestIngest:
                                f"{quoted}... ({len(field)} characters)")
 
 
+def two_cpus():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two usable CPUs")
+
+
+@contextmanager
+def in_process(monkeypatch):
+    """One usable CPU while the block runs: every `fork_map` stays in this
+    process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        yield
+
+
 def tree_bytes(root):
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -726,17 +749,14 @@ class TestIngestWorkers:
             [trial_row("PQ", "quoted.csv")]
             + [trial_row(label, name) for label, name in self.BAD.items()])
 
-    @staticmethod
-    def two_workers(monkeypatch):
-        monkeypatch.setattr(pipeline, "_BYTES_PER_WORKER", 1)
-        if len(os.sched_getaffinity(0)) < 2:
-            pytest.skip("needs two usable CPUs")
-
-    def test_same_items_and_skips(self, mixed, monkeypatch):
+    def test_same_items_and_skips(self, mixed, pools):
         config = PipelineConfig(grid_n=31)
         want = ingest(mixed, config, skip_bad=True)
-        self.two_workers(monkeypatch)
-        got = ingest(mixed, config, skip_bad=True)
+        assert pools == []
+        two_cpus()
+        with worker_pool():
+            got = ingest(mixed, config, skip_bad=True)
+        assert [pool.maps for pool in pools] == [[len(self.BAD) + 6]]
         assert [it.label for it in want.items] == \
             ["H00", "H01", "H02", "P00", "P01", "PQ"]
         assert [label for label, _ in want.skipped] == sorted(self.BAD)
@@ -748,26 +768,30 @@ class TestIngestWorkers:
             assert g.trajectory.values.tobytes() == w.trajectory.values.tobytes()
 
     @pytest.mark.parametrize("label", [*sorted(BAD), None])
-    def test_same_error(self, cohort_dir, mixed, monkeypatch, label):
+    def test_same_error(self, cohort_dir, mixed, pools, label):
         # None: every kind, PC in the first worker's chunk, the rest in the
         # second's; the first in manifest order is raised
         m = mixed if label is None else extend_manifest(
             cohort_dir, "one_bad.csv", [trial_row(label, self.BAD[label])])
         with pytest.raises(ValueError) as want:
             ingest(m, PipelineConfig(grid_n=31))
-        self.two_workers(monkeypatch)
-        with pytest.raises(ValueError) as got:
+        two_cpus()
+        with worker_pool(), pytest.raises(ValueError) as got:
             ingest(m, PipelineConfig(grid_n=31))
+        assert len(pools) == 1
         assert type(got.value) is type(want.value) is ManifestError
         assert str(got.value) == str(want.value)
         assert self.BAD[label or "PC"] in str(got.value)
 
-    def test_same_report_tree(self, mixed, tmp_path, monkeypatch):
+    def test_same_report_tree(self, mixed, tmp_path, monkeypatch, pools):
         argv = ["report", "--manifest", str(mixed), "--skip-bad",
                 "--grid-n", "61", "--mean-max-iter", "10", "--out"]
-        assert main(argv + [str(tmp_path / "in_process")]) == 0
-        self.two_workers(monkeypatch)
+        with in_process(monkeypatch):
+            assert main(argv + [str(tmp_path / "in_process")]) == 0
+        assert pools == []
+        two_cpus()
         assert main(argv + [str(tmp_path / "workers")]) == 0
+        assert len(pools) == 1
         want = tree_bytes(tmp_path / "in_process")
         assert len(json.loads(want["stats.json"])["skipped"]) == len(self.BAD)
         assert tree_bytes(tmp_path / "workers") == want
@@ -782,56 +806,43 @@ class TestIngestWorkers:
             return read_trial(path, channel)
 
         monkeypatch.setattr(pipeline, "read_trial", die_in_worker)
-        self.two_workers(monkeypatch)
+        two_cpus()
         assert main(["ingest-check", "--manifest", str(cohort_dir)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ingest worker died: ")
         assert err.count("\n") == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestDpWorkers:
     """Warp solves in forked worker processes against solves in this one."""
 
-    @staticmethod
-    def workers(monkeypatch, per_worker):
-        """Set the DP pool's work per worker; returns the worker counts
-        asked of `fork_map`, one per `_align_srvfs` call."""
-        monkeypatch.setattr(registration, "_DP_WORK_PER_WORKER", per_worker)
-        asked, real = [], registration.fork_map
-
-        def counted(fn, items, workers, stage):
-            asked.append(workers)
-            return real(fn, items, workers, stage)
-
-        monkeypatch.setattr(registration, "fork_map", counted)
-        return asked
-
-    def two_workers(self, monkeypatch):
-        if len(os.sched_getaffinity(0)) < 2:
-            pytest.skip("needs two usable CPUs")
-        return self.workers(monkeypatch, 1)
-
-    def test_same_report_tree(self, cohort_dir, tmp_path, monkeypatch):
+    def test_same_report_tree(self, cohort_dir, tmp_path, monkeypatch, pools):
         argv = ["report", "--manifest", str(cohort_dir), "--grid-n", "61",
                 "--mean-max-iter", "10", "--out"]
-        asked = self.workers(monkeypatch, sys.maxsize)
-        assert main(argv + [str(tmp_path / "in_process")]) == 0
-        assert set(asked) == {0}
-        asked = self.two_workers(monkeypatch)
+        with in_process(monkeypatch):
+            assert main(argv + [str(tmp_path / "in_process")]) == 0
+        assert pools == []
+        two_cpus()
         assert main(argv + [str(tmp_path / "workers")]) == 0
-        # the mean's iterations, the scoring pass, matrix_post
-        assert len(asked) >= 3 and min(asked) >= 2
+        # ingest, each of the mean's iterations, the scoring pass and
+        # matrix_post, all in one pool
+        (pool,) = pools
+        assert pool.maps[0] == 5 and set(pool.maps[1:-2]) == {3}
+        assert pool.maps[-2:] == [5, 20]
         assert tree_bytes(tmp_path / "workers") == \
             tree_bytes(tmp_path / "in_process")
 
     @pytest.mark.parametrize("metric", ["amplitude", "phase", "cosine"])
-    def test_same_registered_matrix(self, cohort_dir, monkeypatch, metric):
+    def test_same_registered_matrix(self, cohort_dir, pools, metric):
         curves = ingest(cohort_dir, PipelineConfig(grid_n=61)).trajectories
-        self.workers(monkeypatch, sys.maxsize)
         want = pairwise_matrix(curves, metric, registered=True).values
-        self.two_workers(monkeypatch)
-        got = pairwise_matrix(curves, metric, registered=True).values
+        assert pools == []
+        two_cpus()
+        with worker_pool():
+            got = pairwise_matrix(curves, metric, registered=True).values
+        assert [pool.maps for pool in pools] == [[20]]
         assert np.array_equal(got, want)
 
     def test_dead_worker_fails_cleanly(self, cohort_dir, monkeypatch, capsys):
@@ -843,7 +854,7 @@ class TestDpWorkers:
             return dp_path(*args)
 
         monkeypatch.setattr(registration, "_dp_path", die_in_worker)
-        self.two_workers(monkeypatch)
+        two_cpus()
         argv = ["report", "--manifest", str(cohort_dir), "--grid-n", "61",
                 "--out", str(cohort_dir.parent / "out")]
         assert main(argv) == 2
@@ -851,8 +862,10 @@ class TestDpWorkers:
         assert out == ""
         assert err.startswith("error: alignment worker died: ")
         assert err.count("\n") == 1
+        assert multiprocessing.active_children() == []
 
-    def test_rebound_solver_sees_every_solve(self, cohort_dir, monkeypatch):
+    def test_rebound_solver_sees_every_solve(self, cohort_dir, monkeypatch,
+                                             pools):
         # a tracer or spy that rebinds optimal_warping keeps every solve in
         # this process, where it counts them
         curves = ingest(cohort_dir, PipelineConfig(grid_n=61)).trajectories
@@ -862,12 +875,46 @@ class TestDpWorkers:
             pids.append(os.getpid())
             return real(*args)
 
-        asked = self.two_workers(monkeypatch)
+        two_cpus()
         monkeypatch.setattr(registration, "optimal_warping", spy)
-        pairwise_matrix(curves, "cosine", registered=True)
+        with worker_pool():
+            pairwise_matrix(curves, "cosine", registered=True)
         m = len(curves)
         assert pids == [os.getpid()] * (m * (m - 1))
-        assert asked == [1]
+        assert pools == []
+
+
+class TestRunPool:
+    """One fork pool per run, and no worker left once the run returns."""
+
+    def test_one_pool_per_report_run(self, cohort_dir, tmp_path, pools):
+        two_cpus()
+        argv = ["report", "--manifest", str(cohort_dir), "--grid-n", "61",
+                "--mean-max-iter", "10", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert [pool.cancelled for pool in pools] == [False]
+        assert multiprocessing.active_children() == []
+
+    def test_run_pipeline_runs_in_one_pool(self, cohort_dir, tmp_path, pools):
+        two_cpus()
+        run_pipeline(cohort_dir, PipelineConfig(**FAST), tmp_path / "out")
+        assert len(pools) == 1 and len(pools[0].maps) >= 4
+        assert multiprocessing.active_children() == []
+
+    def test_failing_stage_stops_the_pool(self, cohort_dir, tmp_path, pools,
+                                          capsys):
+        # ingest runs in the pool, then the mean has one healthy trial
+        m = cohort_dir.parent / "one_healthy.csv"
+        write_manifest(m, [["H00", "healthy", "healthy_00.csv", "", ""],
+                           ["P00", "DMD", "patient_00.csv", "", ""],
+                           ["P01", "SMA", "patient_01.csv", "", ""]])
+        two_cpus()
+        argv = ["mean", "--manifest", str(m), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "need >= 2 healthy trials" in capsys.readouterr().err
+        assert [pool.cancelled for pool in pools] == [True]
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out" / "mean_healthy.csv").exists()
 
 
 class TestTrialReaders:
@@ -1195,6 +1242,144 @@ class TestPublish:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert out.read_text() == "not a directory"
+
+
+# holds `publish(argv[1])` open until a line arrives on stdin
+HOLD_OUT = """
+import sys
+from pathlib import Path
+from motionshape.outputs import publish
+with publish(Path(sys.argv[1])) as into:
+    (into / "held.txt").write_text("held")
+    print("held", flush=True)
+    sys.stdin.readline()
+"""
+
+
+# starts a pool's workers inside `publish(argv[1])`, prints their pids and
+# kills its own process, whose workers are left running
+KILLED_RUN = """
+import multiprocessing, os, signal, sys
+from pathlib import Path
+from motionshape.core import fork_map, worker_pool
+from motionshape.outputs import publish
+with publish(Path(sys.argv[1])), worker_pool():
+    list(fork_map(abs, [1, -2], "demo"))
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def python(code, *args, **kwargs):
+    """A fresh interpreter running `code` with this motionshape importable."""
+    src = str(Path(motionshape.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-c", code, *map(str, args)],
+                            stdout=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
+def lock_is_free(out):
+    fd = os.open(out, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return True
+    except BlockingIOError:
+        return False
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.skipif(fcntl is None, reason="needs fcntl")
+class TestOneRunPerOut:
+    """A run holds its --out locked; a second run into it fails at once,
+    and staging left by a killed run is removed."""
+
+    ARGS = ["--grid-n", "61", "--mean-max-iter", "10"]
+
+    def argv(self, command, manifest, out):
+        return [command, "--manifest", str(manifest), "--out", str(out),
+                *self.ARGS]
+
+    def test_second_process_is_refused(self, cohort_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        holder = python(HOLD_OUT, out, stdin=subprocess.PIPE)
+        try:
+            assert holder.stdout.readline() == "held\n"
+            listing = entries(out)
+            assert main(self.argv("distances", cohort_dir, out)) == 2
+            assert capsys.readouterr().err == \
+                f"error: {out}: --out is in use by another run\n"
+            assert entries(out) == listing  # the holder's staging untouched
+        finally:
+            holder.communicate("\n", timeout=60)
+        assert holder.returncode == 0
+        assert main(self.argv("distances", cohort_dir, out)) == 0
+        assert sorted(entries(out)) == ["distances.csv", "held.txt"]
+
+    def test_lock_is_free_once_main_returns(self, cohort_dir, tmp_path):
+        out = tmp_path / "out"
+        for _ in range(2):  # two runs in a row in one process
+            assert main(self.argv("report", cohort_dir, out)) == 0
+            assert lock_is_free(out)
+        assert main(self.argv("report", tmp_path / "missing.csv", out)) == 2
+        assert lock_is_free(out)
+        assert main(self.argv("report", cohort_dir, out)) == 0
+        assert lock_is_free(out)
+        assert not hidden(out)
+
+    def test_dead_worker_leaves_the_lock_free(self, cohort_dir, tmp_path,
+                                              monkeypatch):
+        parent, dp_path = os.getpid(), registration._dp_path
+
+        def die_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return dp_path(*args)
+
+        two_cpus()
+        out = tmp_path / "out"
+        with monkeypatch.context() as patch:
+            patch.setattr(registration, "_dp_path", die_in_worker)
+            assert main(self.argv("mean", cohort_dir, out)) == 2
+        assert lock_is_free(out)
+        assert main(self.argv("mean", cohort_dir, out)) == 0
+
+    def test_workers_of_a_killed_run_hold_no_lock(self, cohort_dir,
+                                                  tmp_path):
+        two_cpus()
+        out = tmp_path / "out"
+        run = python(KILLED_RUN, out)
+        with run.stdout:  # the orphans keep the pipe open: read no further
+            workers = [int(pid) for pid in run.stdout.readline().split()]
+        try:
+            assert run.wait(timeout=60) == -signal.SIGKILL
+            assert len(workers) >= 2
+            assert lock_is_free(out)
+            assert [p.name for p in out.iterdir()][0].startswith(".staging-")
+            assert main(self.argv("distances", cohort_dir, out)) == 0
+            assert not hidden(out)
+        finally:
+            for pid in workers:  # orphans: the killed run cannot stop them
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_leftover_staging_is_removed(self, cohort_dir, tmp_path):
+        out = tmp_path / "out"
+        (out / ".staging-dead" / "new").mkdir(parents=True)
+        (out / ".staging-dead" / "new" / "stats.json").write_text("{}")
+        (out / ".keep").write_text("keep")
+        assert main(self.argv("distances", cohort_dir, out)) == 0
+        assert hidden(out) == [".keep"]
+
+    def test_without_fcntl_no_lock(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(outputs, "fcntl", None)
+        out = tmp_path / "out"
+        (out / ".staging-dead").mkdir(parents=True)
+        with publish(out) as into:
+            assert lock_is_free(out)
+            (into / "a.txt").write_text("a")
+        assert sorted(entries(out)) == [".staging-dead", "a.txt"]
 
 
 class TestStatsOnDegenerateInput:
