@@ -2,15 +2,19 @@
 
 Every curve in this package lives on a common uniform grid over normalized
 time [0, 1]. The types below are immutable after construction (their arrays
-are frozen), so they can be shared freely across threads.
+are frozen), so they can be shared freely across threads, and across
+processes: each pickles as its constructor call, so a copy unpickled in
+another process is checked and frozen like the original.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import sys
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,8 +68,17 @@ def _sampled(values, grid: TimeGrid, what: str) -> np.ndarray:
     return v
 
 
+class _Built:
+    """Pickles as its constructor call on its init fields, so an unpickled
+    copy, such as a worker process's result, is checked and frozen."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name)
+                                 for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(_Built):
     """Uniform grid of `n` points spanning [0, 1] inclusive."""
 
     n: int
@@ -83,7 +96,7 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Built):
     """Scalar signal sampled on a TimeGrid (e.g. angular velocity)."""
 
     grid: TimeGrid
@@ -95,7 +108,7 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class SrvfCurve:
+class SrvfCurve(_Built):
     """Square-root velocity representation of a trajectory."""
 
     grid: TimeGrid
@@ -106,7 +119,7 @@ class SrvfCurve:
 
 
 @dataclass(frozen=True)
-class Warping:
+class Warping(_Built):
     """Boundary-preserving monotone reparametrization of [0, 1].
 
     gamma[0] and gamma[-1] are pinned to exactly 0 and 1 at construction;
@@ -199,22 +212,39 @@ def worker_pool():
     """Let every `fork_map` call inside the block share one fork pool.
 
     The pool starts on the first call that can use it and is shut down
-    when the block exits, so no worker outlives the block; a block that
-    raises cancels the pool's queued work first. A nested block uses the
-    outer block's pool.
+    when the block exits, so no worker outlives the block. A nested block
+    uses the outer block's pool.
     """
     global _in_run, _executor
     if _in_run:
         yield
         return
-    _in_run, failed = True, True
+    _in_run = True
     try:
         yield
-        failed = False
     finally:
         pool, _in_run, _executor = _executor, False, None
         if pool is not None:
-            pool.shutdown(cancel_futures=failed)
+            pool.shutdown()
+
+
+def _exit_with_run(run: int) -> None:
+    """Pool worker initializer: on Linux, have the kernel SIGKILL this
+    worker when the thread that forked it (the run's, at its first map)
+    dies, and exit now if the run already has. Elsewhere it does nothing:
+    an initializer that raises breaks the pool."""
+    if sys.platform != "linux":
+        return
+    try:
+        import ctypes
+        prctl = ctypes.CDLL(None).prctl
+    except (ImportError, OSError, AttributeError):
+        return
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+    prctl(1, signal.SIGKILL)  # 1: PR_SET_PDEATHSIG
+    if os.getppid() != run:
+        os._exit(1)
 
 
 def fork_map(fn: Callable, items: Sequence, stage: str) -> Iterable:
@@ -226,7 +256,8 @@ def fork_map(fn: Callable, items: Sequence, stage: str) -> Iterable:
     come back as a list. Otherwise this is the lazy `map(fn, items)` in
     this process, so a caller that stops at one result computes no later
     ones. A worker that dies raises OSError naming `stage`, and the broken
-    pool is dropped. `fn` and each result are pickled between processes.
+    pool is dropped. `fn` and each result are pickled between processes; a
+    worker's value of one of the types above is rebuilt by its constructor.
     """
     global _executor
     try:
@@ -243,7 +274,8 @@ def fork_map(fn: Callable, items: Sequence, stage: str) -> Iterable:
 
     if _executor is None:
         _executor = ProcessPoolExecutor(
-            cpus, mp_context=multiprocessing.get_context("fork"))
+            cpus, mp_context=multiprocessing.get_context("fork"),
+            initializer=_exit_with_run, initargs=(os.getpid(),))
     try:
         return list(_executor.map(fn, items, chunksize=-(-len(items) // cpus)))
     except BrokenProcessPool as exc:

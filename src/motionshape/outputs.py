@@ -67,7 +67,8 @@ def _claim(out: Path):
             raise OSError(f"{out}: --out is in use by another run") from None
         _locked.add(fd)
         for stale in out.glob(".staging-*"):
-            shutil.rmtree(stale)
+            if stale.is_dir() and not stale.is_symlink():
+                shutil.rmtree(stale)
         yield
     finally:
         _locked.discard(fd)
@@ -82,9 +83,9 @@ def publish(out: Path):
 
     `out` is created if needed. While the block runs, `out` is locked
     (`flock` on the directory), so a second run into it fails at once with
-    an OSError, and every `.staging-*` left in `out` by a killed run is
-    removed first; where `fcntl` does not exist there is no lock and no
-    such clean-up. A block that raises leaves `out` as it was. The staging
+    an OSError, and every `.staging-*` directory left in `out` by a killed
+    run is removed first; where `fcntl` does not exist there is no lock and
+    no such clean-up. A block that raises leaves `out` as it was. The staging
     directory is hidden inside `out` and removed either way, unless the
     process is killed.
     """

@@ -81,9 +81,9 @@ def _ingest_trial(entry: ManifestEntry,
                   config: PipelineConfig) -> Trajectory | ValueError:
     """One trial read, resampled, filtered and checked.
 
-    A bad trial's ValueError is returned, not raised, so that a worker
-    process hands it back like a trajectory. Its message starts with the
-    trial file's path.
+    A bad trial's ValueError is returned, not raised, so that under
+    `--skip-bad` one bad trial does not cut short the rest of its worker's
+    chunk of trials. Its message starts with the trial file's path.
     """
     try:
         rec = read_trial(entry.trial_path, config.channel)

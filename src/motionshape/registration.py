@@ -231,16 +231,11 @@ def optimal_warping(q_ref: SrvfCurve, q_mov: SrvfCurve,
     return Warping(q_ref.grid, gamma)
 
 
-# the library's own solver: while `optimal_warping` is rebound (a tracer or a
-# test spy counting solves), every solve is made where the rebinding sees it
-_OWN_SOLVER = optimal_warping
-
-
 def _solve(pair: tuple[SrvfCurve, SrvfCurve],
-           max_slope: int) -> tuple[np.ndarray, np.ndarray]:
+           max_slope: int) -> tuple[Warping, SrvfCurve]:
     q_ref, q = pair
     w = optimal_warping(q_ref, q, max_slope)
-    return w.gamma, group_action(q, w).q
+    return w, group_action(q, w)
 
 
 def _align_srvfs(pairs: list[tuple[SrvfCurve, SrvfCurve]],
@@ -248,15 +243,9 @@ def _align_srvfs(pairs: list[tuple[SrvfCurve, SrvfCurve]],
     """The optimal warp of each (reference, curve) SRVF pair, and each warped
     curve's SRVF values: one DP solve per pair, all of them in one
     `fork_map`. Every warp this module solves for is solved here."""
-    solve = partial(_solve, max_slope=max_slope)
-    solved = (map(solve, pairs) if optimal_warping is not _OWN_SOLVER
-              else fork_map(solve, pairs, "alignment"))
-    warps, aligned_q = [], []
-    for (q_ref, _), (gamma, q) in zip(pairs, solved):
-        # rebuilt here: arrays that come back from a worker are writeable
-        warps.append(Warping(q_ref.grid, gamma))
-        aligned_q.append(q)
-    return warps, aligned_q
+    solved = list(fork_map(partial(_solve, max_slope=max_slope), pairs,
+                           "alignment"))
+    return [w for w, _ in solved], [a.q for _, a in solved]
 
 
 def alignment_cost(q_ref: SrvfCurve, q_mov: SrvfCurve,

@@ -26,23 +26,18 @@ def wavy101(grid101):
 @pytest.fixture
 def pools(monkeypatch):
     """Every fork pool `core.fork_map` starts while the test runs, in order.
-    Each records the item count of each of its maps, and the
-    `cancel_futures` of its last shutdown (None before one)."""
+    Each records the item count of each of its maps."""
     started = []
 
     class Counted(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.maps, self.cancelled = [], None
+            self.maps = []
             started.append(self)
 
         def map(self, fn, items, **kwargs):
             self.maps.append(len(items))
             return super().map(fn, items, **kwargs)
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            self.cancelled = cancel_futures
-            super().shutdown(wait, cancel_futures=cancel_futures)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
     return started

@@ -1,6 +1,9 @@
 import multiprocessing
 import os
+import pickle
+import sys
 from contextlib import nullcontext
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from motionshape.core import (
     DimensionError,
     InsufficientDataError,
     ParameterError,
+    SrvfCurve,
     TimeGrid,
     Trajectory,
     Warping,
@@ -95,6 +99,42 @@ class TestWarping:
         g = grid101.points * (1 - 1e-13)
         w = Warping(grid101, g)
         assert w.gamma[0] == 0.0 and w.gamma[-1] == 1.0
+
+
+def held_arrays(obj):
+    """The arrays an object of a `core` type holds, its grid's included."""
+    if isinstance(obj, TimeGrid):
+        return [obj.points]
+    return [obj.grid.points] + [getattr(obj, f.name) for f in fields(obj)
+                                if f.name != "grid"]
+
+
+class TestPickle:
+    """A copy unpickled, as a worker's result is, is checked and frozen
+    like one built in this process."""
+
+    @pytest.mark.parametrize("make", [
+        lambda grid: grid,
+        lambda grid: Trajectory(grid, np.sin(3 * grid.points)),
+        lambda grid: SrvfCurve(grid, np.cos(3 * grid.points)),
+        lambda grid: Warping(grid, grid.points ** 2),
+    ], ids=["TimeGrid", "Trajectory", "SrvfCurve", "Warping"])
+    def test_round_trip_is_equal_and_read_only(self, grid101, make):
+        obj = make(grid101)
+        copy = pickle.loads(pickle.dumps(obj))
+        assert type(copy) is type(obj)
+        for got, want in zip(held_arrays(copy), held_arrays(obj), strict=True):
+            assert got is not want
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+    def test_non_finite_trajectory_refused_on_load(self, grid101):
+        traj = Trajectory(grid101, np.zeros(101))
+        traj.values.flags.writeable = True  # altered after it was checked
+        traj.values[3] = np.inf
+        data = pickle.dumps(traj)
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            pickle.loads(data)
 
 
 class TestInnerProduct:
@@ -205,15 +245,25 @@ class TestForkMap:
             workers = multiprocessing.active_children()
         assert [sq for _, sq in got] == [1, 4, 9, 16, 25, 36, 49]
         assert {pid for pid, _ in got} <= {p.pid for p in workers}
-        assert [(pool.maps, pool.cancelled) for pool in pools] == \
-            [([2, 3, 2], False)]
+        assert [pool.maps for pool in pools] == [[2, 3, 2]]
         assert multiprocessing.active_children() == []
 
     @two_cpus
-    def test_block_that_raises_cancels_queued_work(self, pools):
+    def test_block_that_raises_shuts_its_pool(self, pools):
         with pytest.raises(KeyError, match="stop"):
             with worker_pool():
                 fork_map(pid_and_square, [1, 2], "demo")
                 raise KeyError("stop")
-        assert [pool.cancelled for pool in pools] == [True]
+        (pool,) = pools
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            pool.submit(abs, 1)
         assert multiprocessing.active_children() == []
+
+    @two_cpus
+    def test_workers_start_off_linux(self, monkeypatch):
+        # the workers' initializer does nothing there, and raises nothing
+        monkeypatch.setattr(sys, "platform", "darwin")
+        with worker_pool():
+            got = fork_map(pid_and_square, [1, 2], "demo")
+        assert [sq for _, sq in got] == [1, 4]
+        assert TEST_PROCESS not in {pid for pid, _ in got}

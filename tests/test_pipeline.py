@@ -9,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import fields
@@ -25,7 +26,7 @@ except ImportError:  # Windows: no flock
 
 import motionshape
 from motionshape.core import (DegenerateInputError, InsufficientDataError,
-                              worker_pool)
+                              fork_map, worker_pool)
 from motionshape import cli, inputs, outputs, pipeline, registration
 from motionshape.preprocess import RawRecording
 from motionshape.cli import main
@@ -33,6 +34,7 @@ from motionshape.analytics import pairwise_matrix
 from motionshape.inputs import ManifestError, PipelineConfig, load_manifest
 from motionshape.outputs import publish
 from motionshape.pipeline import IngestResult, ingest, run_pipeline
+from motionshape.registration import align_pairwise
 from motionshape.synthetic import write_cohort
 
 FAST = dict(grid_n=61, mean_max_iter=10)
@@ -766,6 +768,8 @@ class TestIngestWorkers:
         for g, w in zip(got.items, want.items):
             assert g.trajectory.grid == w.trajectory.grid
             assert g.trajectory.values.tobytes() == w.trajectory.values.tobytes()
+            assert not g.trajectory.values.flags.writeable
+            assert not g.trajectory.grid.points.flags.writeable
 
     @pytest.mark.parametrize("label", [*sorted(BAD), None])
     def test_same_error(self, cohort_dir, mixed, pools, label):
@@ -845,6 +849,18 @@ class TestDpWorkers:
         assert [pool.maps for pool in pools] == [[20]]
         assert np.array_equal(got, want)
 
+    def test_solved_warps_are_equal_and_read_only(self, cohort_dir, pools):
+        curves = ingest(cohort_dir, PipelineConfig(grid_n=61)).trajectories
+        want = align_pairwise(curves).warps
+        two_cpus()
+        with worker_pool():
+            got = align_pairwise(curves).warps
+        assert [pool.maps for pool in pools] == [[20]]
+        for g, w in zip(got, want, strict=True):
+            assert g.gamma.tobytes() == w.gamma.tobytes()
+            assert not g.gamma.flags.writeable
+            assert not g.grid.points.flags.writeable
+
     def test_dead_worker_fails_cleanly(self, cohort_dir, monkeypatch, capsys):
         parent, dp_path = os.getpid(), registration._dp_path
 
@@ -864,25 +880,6 @@ class TestDpWorkers:
         assert err.count("\n") == 1
         assert multiprocessing.active_children() == []
 
-    def test_rebound_solver_sees_every_solve(self, cohort_dir, monkeypatch,
-                                             pools):
-        # a tracer or spy that rebinds optimal_warping keeps every solve in
-        # this process, where it counts them
-        curves = ingest(cohort_dir, PipelineConfig(grid_n=61)).trajectories
-        pids, real = [], registration.optimal_warping
-
-        def spy(*args):
-            pids.append(os.getpid())
-            return real(*args)
-
-        two_cpus()
-        monkeypatch.setattr(registration, "optimal_warping", spy)
-        with worker_pool():
-            pairwise_matrix(curves, "cosine", registered=True)
-        m = len(curves)
-        assert pids == [os.getpid()] * (m * (m - 1))
-        assert pools == []
-
 
 class TestRunPool:
     """One fork pool per run, and no worker left once the run returns."""
@@ -892,7 +889,7 @@ class TestRunPool:
         argv = ["report", "--manifest", str(cohort_dir), "--grid-n", "61",
                 "--mean-max-iter", "10", "--out", str(tmp_path / "out")]
         assert main(argv) == 0
-        assert [pool.cancelled for pool in pools] == [False]
+        assert len(pools) == 1
         assert multiprocessing.active_children() == []
 
     def test_run_pipeline_runs_in_one_pool(self, cohort_dir, tmp_path, pools):
@@ -912,7 +909,7 @@ class TestRunPool:
         argv = ["mean", "--manifest", str(m), "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         assert "need >= 2 healthy trials" in capsys.readouterr().err
-        assert [pool.cancelled for pool in pools] == [True]
+        assert len(pools) == 1
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "out" / "mean_healthy.csv").exists()
 
@@ -1257,7 +1254,7 @@ with publish(Path(sys.argv[1])) as into:
 
 
 # starts a pool's workers inside `publish(argv[1])`, prints their pids and
-# kills its own process, whose workers are left running
+# kills its own process, leaving its workers orphaned
 KILLED_RUN = """
 import multiprocessing, os, signal, sys
 from pathlib import Path
@@ -1277,6 +1274,29 @@ def python(code, *args, **kwargs):
     return subprocess.Popen([sys.executable, "-c", code, *map(str, args)],
                             stdout=subprocess.PIPE, text=True,
                             env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
+def exited(pid):
+    """Whether process `pid` has exited. An orphan's zombie counts: the
+    process that reaps orphans may not reap it at once, or at all."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except FileNotFoundError:
+        return True
+    return re.search(r"^State:\s+Z", status, re.M) is not None
+
+
+def open_paths(_):
+    """What the calling process's open descriptors name."""
+    paths = set()
+    for fd in os.listdir("/proc/self/fd"):
+        with suppress(OSError):  # the listing's own descriptor, now closed
+            paths.add(os.readlink(f"/proc/self/fd/{fd}"))
+    return paths
+
+
+linux = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                           reason="needs Linux's /proc")
 
 
 def lock_is_free(out):
@@ -1345,24 +1365,40 @@ class TestOneRunPerOut:
         assert lock_is_free(out)
         assert main(self.argv("mean", cohort_dir, out)) == 0
 
+    @linux
     def test_workers_of_a_killed_run_hold_no_lock(self, cohort_dir,
                                                   tmp_path):
         two_cpus()
         out = tmp_path / "out"
         run = python(KILLED_RUN, out)
-        with run.stdout:  # the orphans keep the pipe open: read no further
+        with run.stdout:  # orphans would keep the pipe open: read no further
             workers = [int(pid) for pid in run.stdout.readline().split()]
         try:
             assert run.wait(timeout=60) == -signal.SIGKILL
             assert len(workers) >= 2
             assert lock_is_free(out)
+            deadline = time.monotonic() + 10
+            while not all(map(exited, workers)) and \
+                    time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert all(map(exited, workers))
             assert [p.name for p in out.iterdir()][0].startswith(".staging-")
             assert main(self.argv("distances", cohort_dir, out)) == 0
             assert not hidden(out)
         finally:
-            for pid in workers:  # orphans: the killed run cannot stop them
+            for pid in workers:  # any orphan left by a failed assertion
                 with suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
+
+    @linux
+    def test_workers_hold_no_descriptor_of_out(self, tmp_path):
+        two_cpus()
+        out = tmp_path / "out"
+        with publish(out), worker_pool():
+            assert str(out.resolve()) in open_paths(0)  # the lock's
+            got = fork_map(open_paths, [1, 2], "demo")
+        assert len(got) == 2
+        assert all(str(out.resolve()) not in paths for paths in got)
 
     def test_leftover_staging_is_removed(self, cohort_dir, tmp_path):
         out = tmp_path / "out"
@@ -1371,6 +1407,22 @@ class TestOneRunPerOut:
         (out / ".keep").write_text("keep")
         assert main(self.argv("distances", cohort_dir, out)) == 0
         assert hidden(out) == [".keep"]
+
+    @pytest.mark.parametrize("kind", ["file", "symlink"])
+    def test_staging_name_that_is_no_directory_is_kept(self, cohort_dir,
+                                                       tmp_path, kind):
+        out = tmp_path / "out"
+        out.mkdir()
+        if kind == "file":
+            (out / ".staging-note").write_text("note")
+        else:
+            (tmp_path / "elsewhere").mkdir()
+            (tmp_path / "elsewhere" / "kept.txt").write_text("kept")
+            (out / ".staging-note").symlink_to(tmp_path / "elsewhere")
+        assert main(self.argv("distances", cohort_dir, out)) == 0
+        assert hidden(out) == [".staging-note"]
+        if kind == "symlink":
+            assert (tmp_path / "elsewhere" / "kept.txt").read_text() == "kept"
 
     def test_without_fcntl_no_lock(self, tmp_path, monkeypatch):
         monkeypatch.setattr(outputs, "fcntl", None)
