@@ -11,7 +11,7 @@ away from 0 and infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import permutations
 from math import gcd
 
@@ -123,58 +123,140 @@ def _edge_steps(max_slope: int) -> list[tuple[int, int]]:
     )
 
 
-def _arrival_costs(q1: np.ndarray, q2: np.ndarray, n: int,
-                   edges: list[tuple[int, int]]) -> np.ndarray:
-    """Cost of every lattice edge, indexed by the node it arrives at.
+# Each residual block of `_arrival_costs` holds at most about this many
+# bytes: small enough to stay in cache at large grids, large enough that at
+# grid_n 101 one block holds a whole row-step group (BENCH_dp_arrival.json).
+_BLOCK_BYTES = 1 << 20
+
+
+@dataclass(frozen=True)
+class _StepGroup:
+    """The edge shapes sharing one row step a: their slice of the edge list,
+    their slice of the plan's flat samples (a+1 rows of one value per
+    (edge, column)), and where they would start off the grid (j < b)."""
+
+    a: int
+    edges: slice
+    samples: slice
+    off_grid: np.ndarray
+
+
+@dataclass(frozen=True)
+class _LatticePlan:
+    """Everything about one DP lattice that does not depend on the curves.
+
+    `positions` holds the moving curve's sample positions for every group,
+    concatenated, and `scales` the sqrt(b/a) factor of each. Every array is
+    read-only, since one plan is shared by all the solves on its grid.
+    """
+
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    groups: tuple[_StepGroup, ...]
+    positions: np.ndarray
+    scales: np.ndarray
+    widest: int  # columns (edges x n) of the largest group
+    block_rows: int  # departure rows summed per pass
+
+
+@lru_cache(maxsize=8)
+def _lattice_plan(n: int, max_slope: int) -> _LatticePlan:
+    """The plan of the n x n lattice whose steps are those of `max_slope`
+    that fit on the grid; cached, so a run builds each plan once."""
+    edges = _edge_steps(min(max_slope, n - 1))
+    idx = np.arange(n, dtype=float)
+    steps = np.array(edges)
+    groups, positions, scales = [], [], []
+    offset = 0
+    for a in range(1, steps[-1, 0] + 1):
+        group = slice(*np.searchsorted(steps[:, 0], [a, a + 1]))
+        b = steps[group, 1][:, None]
+        start = idx - b  # departure column j - b of each arrival column j
+        # point k of every (edge, j), one row per k
+        at = start + np.arange(a + 1)[:, None, None] * b / a
+        positions.append(at.reshape(-1))
+        scales.append(np.broadcast_to(np.sqrt(b / a), at.shape).reshape(-1))
+        off_grid = start < 0
+        off_grid.flags.writeable = False
+        groups.append(_StepGroup(a, group, slice(offset, offset + at.size),
+                                 off_grid))
+        offset += at.size
+    positions, scales = np.concatenate(positions), np.concatenate(scales)
+    positions.flags.writeable = scales.flags.writeable = False
+    widest = max(g.edges.stop - g.edges.start for g in groups) * n
+    return _LatticePlan(n, tuple(edges), tuple(groups), positions, scales,
+                        widest, max(1, _BLOCK_BYTES // (8 * widest)))
+
+
+def _arrival_costs(q1: np.ndarray, q2: np.ndarray,
+                   plan: _LatticePlan) -> np.ndarray:
+    """Cost of every lattice edge of `plan`, indexed by the node it arrives at.
 
     The edge from node (i-a, j-b) to (i, j) carries the trapezoid-rule
     integral of (q1(t) - sqrt(b/a) * q2(gamma(t)))^2 over the a+1 grid points
     it spans, with gamma linear on the segment and q2 linearly interpolated.
     out[i, e, j] holds that value for edge shape e = (a, b), and inf where
-    the edge would start off the grid (i < a or j < b). `edges` is sorted,
-    so the shapes sharing a row step a are contiguous and are evaluated
-    together: one `np.interp` gives the moving curve at all a+1 trapezoid
-    points of every shape, and the residuals are summed one point k at a
-    time in three scratch blocks that every group reuses. The sum goes into
-    `out` once, already scaled by h.
+    the edge would start off the grid (i < a or j < b). One `np.interp` and
+    one multiply give the scaled moving curve at every sample position of
+    the plan. The shapes sharing a row step a are then evaluated together,
+    `plan.block_rows` departure rows at a time, in three scratch blocks that
+    every pass reuses (see `_trapezoid_sums`). Each sum goes into `out`
+    once, already scaled by h.
     """
+    n = plan.n
     h = 1.0 / (n - 1)
-    idx = np.arange(n, dtype=float)
-    steps = np.array(edges)
-    out = np.empty((n, len(edges), n))
-    # the running sum, the residual and an end-point term, sized for the
-    # largest group and reused by every group
-    scratch = np.empty((3, (n - 1) * np.bincount(steps[:, 0]).max() * n))
-    for a in range(1, steps[-1, 0] + 1):
-        group = slice(*np.searchsorted(steps[:, 0], [a, a + 1]))
-        b = steps[group, 1][:, None]
-        start = idx - b  # departure column j - b of each arrival column j
-        # q2 at point k of every (edge, j), one row of `samples` per k
-        samples = np.interp(start + np.arange(a + 1)[:, None, None] * b / a,
-                            idx, q2)
-        samples *= np.sqrt(b / a)
-        rows = n - a  # one row per departure row i - a, each (edge, j) in it
-        acc, d, t = scratch[:, :rows * samples[0].size].reshape(3, rows, -1)
-        for k in range(a + 1):
-            # a broadcast copy and an in-place subtract run faster than one
-            # broadcasting subtract (numpy 2.4), and give the same differences
-            np.copyto(d, samples[k].reshape(-1))
-            np.subtract(q1[k:k + rows, None], d, out=d)
-            if k == 0:
-                np.multiply(0.5, d, out=acc)
-                acc *= d
-            elif k == a:
-                np.multiply(0.5, d, out=t)
-                t *= d
-                acc += t
-            else:
-                np.square(d, out=d)
-                acc += d
-        arrived = out[a:, group]
-        np.multiply(acc.reshape(arrived.shape), h, out=arrived)
-        arrived[:, start < 0] = np.inf
-        out[:a, group] = np.inf
+    samples = np.interp(plan.positions, np.arange(n, dtype=float), q2)
+    samples *= plan.scales
+    out = np.empty((n, len(plan.edges), n))
+    block = min(plan.block_rows + plan.groups[-1].a, n) * plan.widest
+    scratch = np.empty((3, block))
+    for g in plan.groups:
+        a = g.a
+        at = samples[g.samples].reshape(a + 1, -1)
+        # departure rows top .. top + rows - 1, each (edge, j) in them
+        for top in range(0, n - a, plan.block_rows):
+            rows = min(plan.block_rows, n - a - top)
+            arrived = out[a + top:a + top + rows, g.edges]
+            sums = _trapezoid_sums(at, q1[top:top + rows + a], scratch)
+            np.multiply(sums.reshape(arrived.shape), h, out=arrived)
+            arrived[:, g.off_grid] = np.inf
+        out[:a, g.edges] = np.inf
     return out
+
+
+def _trapezoid_sums(at: np.ndarray, q1: np.ndarray,
+                    scratch: np.ndarray) -> np.ndarray:
+    """Trapezoid sums of squared residuals for one block of departure rows.
+
+    Row r of the result is, for every column c, the sum over k of
+    w_k (q1[r + k] - at[k, c])^2 with w_0 = w_a = 1/2 and w_k = 1 between,
+    where at has a+1 rows. It is a view of scratch[0]; scratch[1] holds the
+    residual and scratch[2] a block whose row r is q1[r]. Each residual is
+    taken as at[k] minus that block's rows, the negation of q1 - at[k], so
+    it squares to the same bits. After the last subtraction the q1 block
+    holds the end-point term.
+    """
+    a = len(at) - 1
+    rows, width = len(q1) - a, at.shape[1]
+    acc = scratch[0, :rows * width].reshape(rows, width)
+    d = scratch[1, :rows * width].reshape(rows, width)
+    q1_rows = scratch[2, :(rows + a) * width].reshape(rows + a, width)
+    np.copyto(q1_rows, q1[:, None])
+    for k in range(a + 1):
+        np.copyto(d, at[k])
+        d -= q1_rows[k:k + rows]
+        if k == 0:
+            np.multiply(0.5, d, out=acc)
+            acc *= d
+        elif k == a:
+            t = q1_rows[:rows]
+            np.multiply(0.5, d, out=t)
+            t *= d
+            acc += t
+        else:
+            np.square(d, out=d)
+            acc += d
+    return acc
 
 
 def _dp_path(q1: np.ndarray, q2: np.ndarray, n: int,
@@ -194,8 +276,9 @@ def _dp_path(q1: np.ndarray, q2: np.ndarray, n: int,
     Ties thus prefer the diagonal step (1, 1), edge 0, which keeps the
     identity warp for self-alignment.
     """
-    edges = _edge_steps(min(max_slope, n - 1))
-    arrive = _arrival_costs(q1, q2, n, edges)
+    plan = _lattice_plan(n, max_slope)
+    edges = plan.edges
+    arrive = _arrival_costs(q1, q2, plan)
     p = max(a for a, _ in edges)
     width = n + p
     dist = np.full((n + p) * width, np.inf)

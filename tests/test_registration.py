@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import gcd
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from motionshape.registration import (
     _arrival_costs,
     _dp_path,
     _edge_steps,
+    _lattice_plan,
     align_to_reference,
     alignment_cost,
     amplitude_distance,
@@ -174,17 +176,50 @@ class TestDpMatchesReference:
             ties += off_diagonal_ties(q1, q2, n, max_slope, want)
         assert ties > 0
 
-    @pytest.mark.parametrize("n, max_slope", [(3, 7), (8, 3), (31, 7)])
-    def test_arrival_costs_bit_identical(self, n, max_slope):
-        rng = np.random.default_rng(n)
-        q1, q2 = rng.normal(size=n), rng.normal(size=n)
+    @staticmethod
+    def assert_arrival_costs_match(q1, q2, n, max_slope, block_rows=None):
         edges = [(a, b) for a, b in _edge_steps(max_slope) if a < n and b < n]
-        got = _arrival_costs(q1, q2, n, edges)
+        plan = _lattice_plan(n, max_slope)
+        assert plan.edges == tuple(edges)
+        if block_rows is not None:
+            plan = replace(plan, block_rows=block_rows)
+        got = _arrival_costs(q1, q2, plan)
         want = np.full((n, len(edges), n), np.inf)
         for e, ((a, b), c) in enumerate(
                 zip(edges, reference_edge_costs(q1, q2, n, edges))):
             want[a:, e, b:] = c
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, max_slope",
+                             [(3, 7), (8, 3), (31, 7), (101, 7), (201, 3)])
+    def test_arrival_costs_bit_identical(self, n, max_slope):
+        rng = np.random.default_rng(n)
+        q1, q2 = rng.normal(size=n), rng.normal(size=n)
+        self.assert_arrival_costs_match(q1, q2, n, max_slope)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 6, 7, 29, 30])
+    def test_arrival_costs_bit_identical_in_row_blocks(self, block_rows):
+        # blocks shorter than a row step, a block ending one row short of
+        # the last, and one block holding every departure row
+        n = 31
+        rng = np.random.default_rng(block_rows)
+        q1, q2 = rng.normal(size=n), rng.normal(size=n)
+        self.assert_arrival_costs_match(q1, q2, n, 7, block_rows)
+
+    def test_large_grid_is_summed_in_several_row_blocks(self):
+        assert _lattice_plan(101, 7).block_rows >= 100
+        assert _lattice_plan(201, 7).block_rows < 200
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e154])
+    def test_arrival_costs_bit_identical_at_extreme_scales(self, scale):
+        # squared residuals go subnormal (1e-160) or overflow (1e154); the
+        # residual is taken with the opposite sign of the reference's, and
+        # must still square to the same bits
+        n = 31
+        rng = np.random.default_rng(7)
+        q1, q2 = rng.normal(size=n) * scale, rng.normal(size=n) * scale
+        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+            self.assert_arrival_costs_match(q1, q2, n, 7)
 
     @pytest.mark.parametrize("n", [3, 8, 101])
     def test_self_pair_is_free_diagonal(self, n):
@@ -203,6 +238,32 @@ class TestDpMatchesReference:
         assert np.array_equal(got[0], np.arange(n, dtype=float))
         assert np.array_equal(got[1], np.arange(n, dtype=float))
         assert_same_path(got, reference_dp_path(q, q, n, 7))
+
+
+class TestLatticePlan:
+    @staticmethod
+    def arrays(plan):
+        yield plan.positions
+        yield plan.scales
+        for g in plan.groups:
+            yield g.off_grid
+
+    @pytest.mark.parametrize("n, max_slope", [(3, 7), (31, 3), (101, 7)])
+    def test_cached_arrays_are_read_only(self, n, max_slope):
+        plan = _lattice_plan(n, max_slope)
+        assert _lattice_plan(n, max_slope) is plan
+        arrays = list(self.arrays(plan))
+        assert len(arrays) == 2 + len(plan.groups)
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+
+    def test_alternating_grids_match_reference(self):
+        rng = np.random.default_rng(24)
+        for n, max_slope in [(31, 3), (101, 7), (31, 3)]:
+            q1, q2 = rng.normal(size=n), rng.normal(size=n)
+            assert_same_path(_dp_path(q1, q2, n, max_slope),
+                             reference_dp_path(q1, q2, n, max_slope))
 
 
 class TestSrvfTransform:
