@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Hash every subcommand's output tree and stdout on two seeded cohorts.
 
-    python scripts/tree_hashes.py
+    python scripts/tree_hashes.py [--check]
 
 Writes the planted cohort (`write_cohort` seed 1234) and the null cohort
 (seed 99, `null_effect=True`) into a temporary directory, runs all six CLI
@@ -21,35 +21,46 @@ in this process, outside a `worker_pool` block; the ingested values and
 each registered matrix are then computed again inside one, so in worker
 processes, and the script exits 1 unless the hash is the same (with one
 usable CPU both runs stay in this process). Then it prints the
-sha256 of `registration._dp_path`'s path and cost for every ordered pair
+sha256 of `lattice.solve`'s path and cost for every ordered pair
 (i, j), i != j, of those 8 trials ingested at `grid_n` 201 with
 `dp_max_slope` 3, which pins a DP size other than the default. Last, it
 prints the sha256 of the float64 bytes of `t_two_sided_pvalue(t, dof)`
 for t = 0, 0.25, ..., 12 and each dof in P_VALUE_DOFS, since `stats.json`
-holds only the few p-values a seeded cohort gives. Run it in two
-checkouts and diff the output to show a change keeps every output
-byte-identical. The `motionshape` imported is the one in this checkout.
+holds only the few p-values a seeded cohort gives. The `motionshape`
+imported is the one in this checkout.
+
+To show a change keeps every output byte-identical, run it in two
+checkouts and diff the output, or run it with `--check`. That compares
+the printed lines with `tree_hashes.expected` next to this script, and
+exits 1 naming each line that differs and both the recorded and the
+running Python and numpy versions. The file's first line names the
+versions that printed the rest; a change that alters output bytes on
+purpose records its new lines there.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import os
+import platform
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from motionshape import lattice  # noqa: E402
 from motionshape.analytics import (pairwise_matrix,  # noqa: E402
                                    t_two_sided_pvalue)
 from motionshape.cli import main as cli_main  # noqa: E402
 from motionshape.core import worker_pool  # noqa: E402
 from motionshape.inputs import PipelineConfig  # noqa: E402
 from motionshape.pipeline import ingest  # noqa: E402
-from motionshape.registration import _dp_path, to_srvf  # noqa: E402
+from motionshape.registration import to_srvf  # noqa: E402
 from motionshape.synthetic import write_cohort  # noqa: E402
 
 COHORTS = {"planted": dict(seed=1234), "null": dict(seed=99, null_effect=True)}
@@ -61,6 +72,7 @@ LONG_COHORT = dict(n_healthy=20, n_patients=20, rate_hz=1000.0,
                    duration_s=30.0, seed=1234)
 DP_CONFIG = dict(grid_n=201, dp_max_slope=3)
 P_VALUE_DOFS = (1, 2, 4, 5.55, 9, 19, 60, 200)
+EXPECTED = Path(__file__).with_name("tree_hashes.expected")
 
 
 def tree_hash(root: Path) -> str:
@@ -90,14 +102,40 @@ def run(argv: list[str]) -> tuple[int, str]:
     return rc, hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+def matches_record(lines: list[str]) -> bool:
+    """Whether `lines` are those recorded in EXPECTED. Each line that is
+    not is named on stderr, with the recorded and the running versions."""
+    recorded, *want = EXPECTED.read_text().splitlines()
+    differ = [(i, w, g) for i, (w, g) in enumerate(
+        zip_longest(want, lines, fillvalue="(no line)"), 1) if w != g]
+    for i, w, g in differ:
+        print(f"error: line {i} differs from {EXPECTED.name}\n"
+              f"  recorded {w}\n  running  {g}", file=sys.stderr)
+    if differ:
+        print(f"error: recorded with {recorded.removeprefix('# ')}; running "
+              f"python {platform.python_version()} numpy {np.__version__}",
+              file=sys.stderr)
+    return not differ
+
+
 def main() -> int:
-    differ, rerun_differ = [], []
+    parser = argparse.ArgumentParser(
+        description="Print the sha256 lines that pin every output's bytes.")
+    parser.add_argument("--check", action="store_true",
+                        help=f"also compare them with {EXPECTED.name}")
+    check = parser.parse_args().check
+    printed, differ, rerun_differ = [], [], []
+
+    def say(line: str) -> None:
+        print(line)
+        printed.append(line)
+
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep `report`'s stdout comparable
         manifests = {}
         for cohort, kwargs in COHORTS.items():
             manifest = manifests[cohort] = write_cohort(Path(cohort), **kwargs)
-            print(f"{cohort:8s} {'cohort':12s} tree {tree_hash(Path(cohort))}")
+            say(f"{cohort:8s} {'cohort':12s} tree {tree_hash(Path(cohort))}")
             for command in COMMANDS:
                 out = Path("out") / cohort / command
                 argv = [command, "--manifest", str(manifest)]
@@ -105,15 +143,15 @@ def main() -> int:
                     argv += ["--out", str(out)]
                 rc, stdout = run(argv)
                 tree = tree_hash(out) if out.exists() else "-"
-                print(f"{cohort:8s} {command:12s} tree {tree} "
-                      f"stdout {stdout} rc {rc}")
+                say(f"{cohort:8s} {command:12s} tree {tree} "
+                    f"stdout {stdout} rc {rc}")
                 if command != "ingest-check":
                     if run(argv) != (rc, stdout) or tree_hash(out) != tree:
                         rerun_differ.append(f"{cohort} {command}")
         config = PipelineConfig()
         manifest = write_cohort(Path("long"), **LONG_COHORT)
         digest = values_digest(manifest, config)
-        print(f"{'long':8s} {'ingest':12s} values {digest}")
+        say(f"{'long':8s} {'ingest':12s} values {digest}")
         with worker_pool():
             if values_digest(manifest, config) != digest:
                 differ.append("long ingest")
@@ -123,7 +161,7 @@ def main() -> int:
             digest = matrix_digest(curves, metric, registered,
                                    config.dp_max_slope)
             name = f"{metric}_{'post' if registered else 'pre'}"
-            print(f"{'planted':8s} {name:12s} matrix {digest}")
+            say(f"{'planted':8s} {name:12s} matrix {digest}")
             if registered:
                 with worker_pool():
                     if matrix_digest(curves, metric, registered,
@@ -136,22 +174,23 @@ def main() -> int:
         for i, q1 in enumerate(qs):
             for j, q2 in enumerate(qs):
                 if i != j:
-                    vi, vj, cost = _dp_path(q1, q2, dp_config.grid_n,
-                                            dp_config.dp_max_slope)
+                    vi, vj, cost = lattice.solve(q1, q2,
+                                                 dp_config.dp_max_slope)
                     paths.update(vi.tobytes() + vj.tobytes()
                                  + np.float64(cost).tobytes())
-        print(f"{'planted':8s} {'dp_n201_s3':12s} paths {paths.hexdigest()}")
+        say(f"{'planted':8s} {'dp_n201_s3':12s} paths {paths.hexdigest()}")
     p_values = np.array([t_two_sided_pvalue(t, dof) for dof in P_VALUE_DOFS
                          for t in np.arange(49) * 0.25])
     digest = hashlib.sha256(p_values.tobytes()).hexdigest()
-    print(f"{'-':8s} {'t_pvalue':12s} values {digest}")
+    say(f"{'-':8s} {'t_pvalue':12s} values {digest}")
     if differ:
         print(f"error: in a worker pool these results differ: "
               f"{', '.join(differ)}", file=sys.stderr)
     if rerun_differ:
         print(f"error: a rerun into the used --out changed these runs: "
               f"{', '.join(rerun_differ)}", file=sys.stderr)
-    return 1 if differ or rerun_differ else 0
+    unrecorded = check and not matches_record(printed)
+    return 1 if differ or rerun_differ or unrecorded else 0
 
 
 if __name__ == "__main__":

@@ -229,10 +229,13 @@ def worker_pool():
 
 
 def _exit_with_run(run: int) -> None:
-    """Pool worker initializer: on Linux, have the kernel SIGKILL this
-    worker when the thread that forked it (the run's, at its first map)
-    dies, and exit now if the run already has. Elsewhere it does nothing:
-    an initializer that raises breaks the pool."""
+    """Pool worker initializer. It clears the worker's copy of the run's
+    pool state, so a `fork_map` in a worker is the lazy `map`. On Linux, it
+    has the kernel SIGKILL this worker when the thread that forked it (the
+    run's, at its first map) dies, and exits now if the run already has.
+    An initializer that raises breaks the pool, so nothing here raises."""
+    global _in_run, _executor
+    _in_run, _executor = False, None
     if sys.platform != "linux":
         return
     try:

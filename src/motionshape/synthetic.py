@@ -11,13 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SrvfCurve, TimeGrid, Trajectory, Warping
+from .core import TimeGrid, Trajectory, Warping
 
 __all__ = [
     "bimodal_template",
-    "wavy_template",
     "random_smooth_warp",
-    "random_smooth_srvf",
     "write_cohort",
 ]
 
@@ -28,12 +26,6 @@ def bimodal_template(grid: TimeGrid) -> Trajectory:
     v = (0.65 * np.exp(-((t - 0.33) ** 2) / (2 * 0.09 ** 2))
          + 1.0 * np.exp(-((t - 0.62) ** 2) / (2 * 0.10 ** 2)))
     return Trajectory(grid, v)
-
-
-def wavy_template(grid: TimeGrid) -> Trajectory:
-    """Feature-rich signal with no flat spans; good for warp identifiability."""
-    t = grid.points
-    return Trajectory(grid, np.sin(2 * np.pi * t) + 0.35 * np.sin(6 * np.pi * t))
 
 
 def random_smooth_warp(grid: TimeGrid, rng: np.random.Generator,
@@ -49,18 +41,6 @@ def random_smooth_warp(grid: TimeGrid, rng: np.random.Generator,
                       for k, c in enumerate(coef)))
     g = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]))])
     return Warping(grid, g / g[-1])
-
-
-def random_smooth_srvf(grid: TimeGrid, rng: np.random.Generator,
-                       harmonics: int = 5) -> SrvfCurve:
-    """Band-limited random SRVF with O(1) norm (no square-root cusps)."""
-    t = grid.points
-    k = np.arange(1, harmonics + 1)
-    a = rng.normal(0.0, 1.0 / k, harmonics)
-    b = rng.normal(0.0, 1.0 / k, harmonics)
-    q = sum(a[i] * np.sin(2 * np.pi * k[i] * t)
-            + b[i] * np.cos(2 * np.pi * k[i] * t) for i in range(harmonics))
-    return SrvfCurve(grid, q + rng.normal())
 
 
 def _degraded_values(t: np.ndarray, severity: float) -> np.ndarray:

@@ -31,11 +31,11 @@ from motionshape.registration import (
 from motionshape.analytics import t_two_sided_pvalue, welch_t_test
 from motionshape.synthetic import (
     bimodal_template,
-    random_smooth_srvf,
     random_smooth_warp,
-    wavy_template,
     write_cohort,
 )
+
+from conftest import random_smooth_srvf, wavy_template
 
 
 @contextmanager

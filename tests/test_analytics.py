@@ -36,8 +36,9 @@ from motionshape.registration import (
     to_srvf,
     warped_copy,
 )
-from motionshape.synthetic import (random_smooth_warp, wavy_template,
-                                   write_cohort)
+from motionshape.synthetic import random_smooth_warp, write_cohort
+
+from conftest import wavy_template
 
 
 def reference_registered_matrix(curves, metric, max_slope):

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import pickle
@@ -23,6 +24,8 @@ from motionshape.core import (
     inner_product,
     worker_pool,
 )
+
+from conftest import python
 
 TEST_PROCESS = os.getpid()
 
@@ -192,6 +195,19 @@ def die_in_worker(x):
 two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                               reason="needs two usable CPUs")
 
+# a pool's map whose function maps again: prints this process's pid, then
+# each outer item's worker pid and the pids its inner map ran in
+NESTED_MAP = """
+import json, os
+from motionshape.core import fork_map, worker_pool
+def pid(_):
+    return os.getpid()
+def pids(x):
+    return os.getpid(), list(fork_map(pid, [x, -x], "inner"))
+with worker_pool():
+    print(json.dumps([os.getpid(), fork_map(pids, [1, 2], "outer")]))
+"""
+
 
 class TestForkMap:
     @two_cpus
@@ -260,8 +276,24 @@ class TestForkMap:
         assert multiprocessing.active_children() == []
 
     @two_cpus
+    def test_map_in_a_worker_runs_in_that_worker(self):
+        # a worker inherits the run's pool state; kept, the inner map would
+        # submit to the worker's copy of the run's pool and never return
+        with python(NESTED_MAP) as run:
+            try:
+                out, _ = run.communicate(timeout=60)
+            finally:
+                run.kill()
+        assert run.returncode == 0
+        parent, got = json.loads(out)
+        assert len(got) == 2
+        for worker, inner in got:
+            assert worker != parent and inner == [worker, worker]
+
+    @two_cpus
     def test_workers_start_off_linux(self, monkeypatch):
-        # the workers' initializer does nothing there, and raises nothing
+        # there the workers' initializer only clears the pool state, and
+        # raises nothing
         monkeypatch.setattr(sys, "platform", "darwin")
         with worker_pool():
             got = fork_map(pid_and_square, [1, 2], "demo")
