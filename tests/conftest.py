@@ -2,7 +2,6 @@
 helpers with `from conftest import ...`."""
 
 import concurrent.futures
-import csv
 import os
 import subprocess
 import sys
@@ -77,31 +76,6 @@ FAST = dict(grid_n=61, mean_max_iter=10)
 def cohort_dir(tmp_path):
     return write_cohort(tmp_path / "cohort", n_healthy=3, n_patients=2,
                         seed=5, rate_hz=50.0, duration_s=2.0)
-
-
-def write_manifest(path, entries):
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["participant_id", "cohort", "trial_path",
-                    "brooke_score", "dynamometry"])
-        w.writerows(entries)
-
-
-def extend_manifest(manifest, name, rows):
-    """Copy of `manifest` next to it, with `rows` (dicts) appended."""
-    with manifest.open(newline="") as fh:
-        entries = list(csv.DictReader(fh)) + rows
-    out = manifest.parent / name
-    with out.open("w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(entries[0]))
-        w.writeheader()
-        w.writerows(entries)
-    return out
-
-
-def trial_row(pid, trial_path):
-    return {"participant_id": pid, "cohort": "DMD", "trial_path": trial_path,
-            "brooke_score": "", "dynamometry": ""}
 
 
 def two_cpus():

@@ -1,210 +1,14 @@
-"""The warp search's lattice DP against the reference it was first
-written as, and `solve`, its one public entry."""
-
-from dataclasses import replace
+"""`solve`, the lattice DP's one public entry, and the step enumeration
+behind it. The DP's bit-for-bit checks against its reference are in
+test_registration.py."""
 
 import numpy as np
 import pytest
 
 from motionshape import lattice
 from motionshape.core import DimensionError, SrvfCurve, TimeGrid
-from motionshape.lattice import (
-    _arrival_costs,
-    _dp_path,
-    _edge_steps,
-    _lattice_plan,
-    solve,
-)
+from motionshape.lattice import solve
 from motionshape.registration import optimal_warping
-
-
-def reference_edge_costs(q1, q2, n, edges):
-    """The per-edge cost arrays the DP was first written with, kept as the
-    reference the arrival-indexed costs must reproduce bit for bit."""
-    h = 1.0 / (n - 1)
-    idx = np.arange(n, dtype=float)
-    costs = []
-    for a, b in edges:
-        sq = np.sqrt(b / a)
-        rows = n - a
-        cols = np.arange(n - b, dtype=float)
-        c = np.zeros((rows, n - b))
-        for k in range(a + 1):
-            w = 0.5 if k in (0, a) else 1.0
-            q2v = np.interp(cols + k * b / a, idx, q2)
-            diff = q1[k:k + rows, None] - sq * q2v[None, :]
-            c += w * diff * diff
-        costs.append(c * h)
-    return costs
-
-
-def reference_dp_tables(q1, q2, n, max_slope):
-    """The original per-edge row loop over reference_edge_costs. Returns the
-    edges, the cost-to-come table, and every cell's candidates:
-    cands[i, e, j] is the cost of reaching (i, j) by edge e."""
-    edges = [(a, b) for a, b in _edge_steps(max_slope) if a < n and b < n]
-    costs = reference_edge_costs(q1, q2, n, edges)
-    dist = np.full((n, n), np.inf)
-    dist[0, 0] = 0.0
-    cands = np.full((n, len(edges), n), np.inf)
-    for i in range(1, n):
-        cand = cands[i]
-        for e, (a, b) in enumerate(edges):
-            if a > i:
-                continue
-            cand[e, b:] = dist[i - a, : n - b] + costs[e][i - a, :]
-        dist[i] = cand[cand.argmin(axis=0), np.arange(n)]
-    return edges, dist, cands
-
-
-def reference_dp_path(q1, q2, n, max_slope):
-    """The minimum-cost path of reference_dp_tables, walked back from
-    (n-1, n-1) along each cell's first minimum; (1,1) is edge 0."""
-    edges, dist, cands = reference_dp_tables(q1, q2, n, max_slope)
-    pred = cands.argmin(axis=1)
-    vi, vj = [n - 1], [n - 1]
-    i, j = n - 1, n - 1
-    while (i, j) != (0, 0):
-        a, b = edges[pred[i, j]]
-        i, j = i - a, j - b
-        vi.append(i)
-        vj.append(j)
-    return np.array(vi[::-1], float), np.array(vj[::-1], float), float(dist[n - 1, n - 1])
-
-
-def off_diagonal_ties(q1, q2, n, max_slope, path):
-    """Cells on the reference path reached at the minimum cost by several
-    edges, the first of which is not the diagonal."""
-    _, _, cands = reference_dp_tables(q1, q2, n, max_slope)
-    vi, vj, _ = path
-    count = 0
-    for i, j in zip(vi[1:].astype(int), vj[1:].astype(int)):
-        cand = cands[i, :, j]
-        count += (cand == cand.min()).sum() > 1 and cand.argmin() != 0
-    return count
-
-
-def assert_same_path(got, want):
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-    assert got[2] == want[2]
-
-
-class TestDpMatchesReference:
-    @pytest.mark.parametrize(
-        "n, max_slope",
-        [(n, s) for n in (3, 4, 5, 8, 31, 101) for s in (1, 2, 3, 7)]
-        + [(201, 3), (201, 7)])
-    def test_random_pairs_bit_identical(self, n, max_slope):
-        rng = np.random.default_rng(1000 * n + max_slope)
-        for _ in range(3):
-            q1, q2 = rng.normal(size=n), rng.normal(size=n)
-            assert_same_path(_dp_path(q1, q2, n, max_slope),
-                             reference_dp_path(q1, q2, n, max_slope))
-
-    @pytest.mark.parametrize("max_slope", [3, 7])
-    @pytest.mark.parametrize("n", [31, 101])
-    def test_binary_pairs_settle_ties_on_first_minimum(self, n, max_slope):
-        # {0, 1}-valued SRVFs make many path costs exactly equal, so the
-        # walk back meets cells where a non-diagonal edge ties for the
-        # minimum with a later one; the first must win, as in the reference
-        rng = np.random.default_rng(1000 * n + max_slope)
-        ties = 0
-        for _ in range(10):
-            q1, q2 = (rng.integers(0, 2, n).astype(float) for _ in range(2))
-            want = reference_dp_path(q1, q2, n, max_slope)
-            assert_same_path(_dp_path(q1, q2, n, max_slope), want)
-            ties += off_diagonal_ties(q1, q2, n, max_slope, want)
-        assert ties > 0
-
-    @staticmethod
-    def assert_arrival_costs_match(q1, q2, n, max_slope, block_rows=None):
-        edges = [(a, b) for a, b in _edge_steps(max_slope) if a < n and b < n]
-        plan = _lattice_plan(n, max_slope)
-        assert plan.edges == tuple(edges)
-        if block_rows is not None:
-            plan = replace(plan, block_rows=block_rows)
-        got = _arrival_costs(q1, q2, plan)
-        want = np.full((n, len(edges), n), np.inf)
-        for e, ((a, b), c) in enumerate(
-                zip(edges, reference_edge_costs(q1, q2, n, edges))):
-            want[a:, e, b:] = c
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("n, max_slope",
-                             [(3, 7), (8, 3), (31, 7), (101, 7), (201, 3)])
-    def test_arrival_costs_bit_identical(self, n, max_slope):
-        rng = np.random.default_rng(n)
-        q1, q2 = rng.normal(size=n), rng.normal(size=n)
-        self.assert_arrival_costs_match(q1, q2, n, max_slope)
-
-    @pytest.mark.parametrize("block_rows", [1, 2, 6, 7, 29, 30])
-    def test_arrival_costs_bit_identical_in_row_blocks(self, block_rows):
-        # blocks shorter than a row step, a block ending one row short of
-        # the last, and one block holding every departure row
-        n = 31
-        rng = np.random.default_rng(block_rows)
-        q1, q2 = rng.normal(size=n), rng.normal(size=n)
-        self.assert_arrival_costs_match(q1, q2, n, 7, block_rows)
-
-    def test_large_grid_is_summed_in_several_row_blocks(self):
-        assert _lattice_plan(101, 7).block_rows >= 100
-        assert _lattice_plan(201, 7).block_rows < 200
-
-    @pytest.mark.parametrize("scale", [1e-160, 1e154])
-    def test_arrival_costs_bit_identical_at_extreme_scales(self, scale):
-        # squared residuals go subnormal (1e-160) or overflow (1e154); the
-        # residual is taken with the opposite sign of the reference's, and
-        # must still square to the same bits
-        n = 31
-        rng = np.random.default_rng(7)
-        q1, q2 = rng.normal(size=n) * scale, rng.normal(size=n) * scale
-        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-            self.assert_arrival_costs_match(q1, q2, n, 7)
-
-    @pytest.mark.parametrize("n", [3, 8, 101])
-    def test_self_pair_is_free_diagonal(self, n):
-        q = np.random.default_rng(n).normal(size=n)
-        got = _dp_path(q, q, n, 7)
-        assert got[2] == 0.0
-        assert np.array_equal(got[0], np.arange(n, dtype=float))
-        assert np.array_equal(got[1], np.arange(n, dtype=float))
-        assert_same_path(got, reference_dp_path(q, q, n, 7))
-
-    @pytest.mark.parametrize("n", [3, 8, 101])
-    def test_all_ties_pick_diagonal(self, n):
-        q = np.zeros(n)
-        got = _dp_path(q, q, n, 7)
-        assert got[2] == 0.0
-        assert np.array_equal(got[0], np.arange(n, dtype=float))
-        assert np.array_equal(got[1], np.arange(n, dtype=float))
-        assert_same_path(got, reference_dp_path(q, q, n, 7))
-
-
-class TestLatticePlan:
-    @staticmethod
-    def arrays(plan):
-        yield plan.positions
-        yield plan.scales
-        for g in plan.groups:
-            yield g.off_grid
-
-    @pytest.mark.parametrize("n, max_slope", [(3, 7), (31, 3), (101, 7)])
-    def test_cached_arrays_are_read_only(self, n, max_slope):
-        plan = _lattice_plan(n, max_slope)
-        assert _lattice_plan(n, max_slope) is plan
-        arrays = list(self.arrays(plan))
-        assert len(arrays) == 2 + len(plan.groups)
-        for arr in arrays:
-            with pytest.raises(ValueError):
-                arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
-
-    def test_alternating_grids_match_reference(self):
-        rng = np.random.default_rng(24)
-        for n, max_slope in [(31, 3), (101, 7), (31, 3)]:
-            q1, q2 = rng.normal(size=n), rng.normal(size=n)
-            assert_same_path(_dp_path(q1, q2, n, max_slope),
-                             reference_dp_path(q1, q2, n, max_slope))
 
 
 class TestSolve:
