@@ -31,14 +31,12 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class _StepGroup:
-    """The edge shapes sharing one row step a: their slice of the edge list,
-    their slice of the plan's flat samples (a+1 rows of one value per
-    (edge, column)), and where they would start off the grid (j < b)."""
+    """The edge shapes sharing one row step a: their slices of the edge
+    list and of the plan's flat samples (a+1 rows per (edge, column))."""
 
     a: int
     edges: slice
     samples: slice
-    off_grid: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -71,15 +69,11 @@ def _lattice_plan(n: int, max_slope: int) -> _LatticePlan:
     for a in range(1, steps[-1, 0] + 1):
         group = slice(*np.searchsorted(steps[:, 0], [a, a + 1]))
         b = steps[group, 1][:, None]
-        start = idx - b  # departure column j - b of each arrival column j
-        # point k of every (edge, j), one row per k
-        at = start + np.arange(a + 1)[:, None, None] * b / a
+        # point k of every (edge, j), one row per k, from column j - b
+        at = idx - b + np.arange(a + 1)[:, None, None] * b / a
         positions.append(at.reshape(-1))
         scales.append(np.broadcast_to(np.sqrt(b / a), at.shape).reshape(-1))
-        off_grid = start < 0
-        off_grid.flags.writeable = False
-        groups.append(_StepGroup(a, group, slice(offset, offset + at.size),
-                                 off_grid))
+        groups.append(_StepGroup(a, group, slice(offset, offset + at.size)))
         offset += at.size
     positions, scales = np.concatenate(positions), np.concatenate(scales)
     positions.flags.writeable = scales.flags.writeable = False
@@ -95,13 +89,13 @@ def _arrival_costs(q1: np.ndarray, q2: np.ndarray,
     The edge from node (i-a, j-b) to (i, j) carries the trapezoid-rule
     integral of (q1(t) - sqrt(b/a) * q2(gamma(t)))^2 over the a+1 grid points
     it spans, with gamma linear on the segment and q2 linearly interpolated.
-    out[i, e, j] holds that value for edge shape e = (a, b), and inf where
-    the edge would start off the grid (i < a or j < b). One `np.interp` and
-    one multiply give the scaled moving curve at every sample position of
-    the plan. The shapes sharing a row step a are then evaluated together,
-    `plan.block_rows` departure rows at a time, in three scratch blocks that
-    every pass reuses (see `_trapezoid_sums`). Each sum goes into `out`
-    once, already scaled by h.
+    out[i, e, j] holds that value for edge shape e = (a, b), and inf for i < a;
+    `solve` never takes an edge that would start left of the grid (j < b),
+    whatever out holds there. One `np.interp` and one multiply give the scaled
+    moving curve at every sample position of the plan. The shapes sharing a row
+    step a are then evaluated together, `plan.block_rows` departure rows at a
+    time, in three scratch blocks that every pass reuses (see
+    `_trapezoid_sums`). Each sum goes into `out` once, already scaled by h.
     """
     n = plan.n
     h = 1.0 / (n - 1)
@@ -119,7 +113,6 @@ def _arrival_costs(q1: np.ndarray, q2: np.ndarray,
             arrived = out[a + top:a + top + rows, g.edges]
             sums = _trapezoid_sums(at, q1[top:top + rows + a], scratch)
             np.multiply(sums.reshape(arrived.shape), h, out=arrived)
-            arrived[:, g.off_grid] = np.inf
         out[:a, g.edges] = np.inf
     return out
 
@@ -159,9 +152,10 @@ def _trapezoid_sums(at: np.ndarray, q1: np.ndarray,
     return acc
 
 
-def _dp_path(q1: np.ndarray, q2: np.ndarray, n: int,
-             max_slope: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Minimum-cost monotone lattice path from (0,0) to (n-1,n-1).
+def solve(q1: np.ndarray, q2: np.ndarray,
+          max_slope: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Minimum-cost monotone lattice path from (0,0) to (n-1,n-1) between
+    two arrays of one length n, as row indices, column indices and cost.
 
     Steps are the coprime pairs (a, b) with 1 <= a, b <= max_slope, so path
     slopes stay within [1/max_slope, max_slope]; steps longer than the grid
@@ -170,12 +164,17 @@ def _dp_path(q1: np.ndarray, q2: np.ndarray, n: int,
 
     `dist` is kept flat with p = max(a) rows and columns of inf in front,
     so the departure cells of every edge arriving on one row are a single
-    gather at fixed offsets from that row's start. The forward pass keeps
+    gather at fixed offsets from that row's start, and an edge that would
+    start off the grid departs from an inf cell. The forward pass keeps
     only each cell's minimum; the walk back recomputes the candidates of
     each cell on the path, the same sums, and takes the first minimum.
     Ties thus prefer the diagonal step (1, 1), edge 0, which keeps the
     identity warp for self-alignment.
     """
+    if len(q1) != len(q2):
+        raise DimensionError(f"solve needs arrays of one length, got "
+                             f"{len(q1)} and {len(q2)}")
+    n = len(q1)
     plan = _lattice_plan(n, max_slope)
     edges = plan.edges
     arrive = _arrival_costs(q1, q2, plan)
@@ -204,11 +203,3 @@ def _dp_path(q1: np.ndarray, q2: np.ndarray, n: int,
         vj.append(j)
     return np.array(vi[::-1], float), np.array(vj[::-1], float), float(dist[-1])
 
-
-def solve(q1: np.ndarray, q2: np.ndarray,
-          max_slope: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """`_dp_path` on two arrays of one length n."""
-    if len(q1) != len(q2):
-        raise DimensionError(f"solve needs arrays of one length, got "
-                             f"{len(q1)} and {len(q2)}")
-    return _dp_path(q1, q2, len(q1), max_slope)

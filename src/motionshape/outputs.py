@@ -11,7 +11,7 @@ import json
 import os
 import shutil
 import tempfile
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -45,7 +45,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "publish",
-    "write_csv",
     "write_distances_csv",
     "write_matrix_csv",
     "write_mean_csv",
@@ -58,7 +57,8 @@ __all__ = [
 @contextmanager
 def _claim(out: Path):
     """Hold `out` locked while the block runs, first removing the staging
-    left in it by a killed run; OSError if another run holds it."""
+    left in it by a killed run, whose set-aside entries go back where their
+    namesake is missing; OSError if another run holds it."""
     fd = os.open(out, os.O_RDONLY)
     try:
         try:
@@ -68,6 +68,9 @@ def _claim(out: Path):
         _locked.add(fd)
         for stale in out.glob(".staging-*"):
             if stale.is_dir() and not stale.is_symlink():
+                for entry in stale.glob("old/*"):
+                    if not os.path.lexists(out / entry.name):
+                        entry.rename(out / entry.name)
                 shutil.rmtree(stale)
         yield
     finally:
@@ -79,15 +82,16 @@ def _claim(out: Path):
 def publish(out: Path):
     """Yield an empty staging directory to write a run's files into; when
     the block ends without an exception, each top-level file or directory
-    there replaces its namesake in `out`, whole.
+    there replaces its namesake in `out`, whole: all namesakes are moved
+    aside into the staging, then all new entries in.
 
     `out` is created if needed. While the block runs, `out` is locked
     (`flock` on the directory), so a second run into it fails at once with
     an OSError, and every `.staging-*` directory left in `out` by a killed
     run is removed first; where `fcntl` does not exist there is no lock and
-    no such clean-up. A block that raises leaves `out` as it was. The staging
-    directory is hidden inside `out` and removed either way, unless the
-    process is killed.
+    no such clean-up. A block or a rename that raises leaves `out` as it
+    was, and a kill leaves no entry missing once that clean-up has run. The
+    staging directory is removed either way, unless the process is killed.
     """
     out.mkdir(parents=True, exist_ok=True)
     with _claim(out) if fcntl is not None else nullcontext(), \
@@ -96,40 +100,43 @@ def publish(out: Path):
         new.mkdir()
         old.mkdir()
         yield new
-        for entry in sorted(new.iterdir()):
-            target = out / entry.name
-            if entry.is_dir() or target.is_dir():  # replaced whole, not merged
-                with suppress(FileNotFoundError):  # nothing to replace
-                    target.rename(old / entry.name)
-            entry.replace(target)
+        names = sorted(entry.name for entry in new.iterdir())
+        moves = [(out / n, old / n) for n in names if os.path.lexists(out / n)]
+        moves += [(new / n, out / n) for n in names]
+        try:
+            for done, (source, target) in enumerate(moves):
+                source.rename(target)
+        except BaseException:  # undo the renames made, newest first
+            for source, target in reversed(moves[:done]):
+                target.rename(source)
+            raise
 
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        csv.writer(fh).writerows([header, *rows])
 
 
 def write_distances_csv(path: Path, scores: list[ParticipantScore]) -> None:
-    write_csv(path, ["participant", "cohort", "amplitude", "phase", "cosine"],
-              [[s.label, s.cohort, _fmt(s.triple.amplitude),
-                _fmt(s.triple.phase), _fmt(s.triple.cosine)] for s in scores])
+    _write_csv(path, ["participant", "cohort", "amplitude", "phase", "cosine"],
+               [[s.label, s.cohort, _fmt(s.triple.amplitude),
+                 _fmt(s.triple.phase), _fmt(s.triple.cosine)] for s in scores])
 
 
 def write_matrix_csv(path: Path, matrix: DistanceMatrix) -> None:
     rows = [[lbl] + [_fmt(v) for v in row]
             for lbl, row in zip(matrix.labels, matrix.values)]
-    write_csv(path, ["label"] + list(matrix.labels), rows)
+    _write_csv(path, ["label"] + list(matrix.labels), rows)
 
 
 def write_mean_csv(path: Path, mean: Trajectory) -> None:
-    write_csv(path, ["t", "value"],
-              [[_fmt(t), _fmt(v)] for t, v in zip(mean.grid.points, mean.values)])
+    _write_csv(path, ["t", "value"],
+               [[_fmt(t), _fmt(v)]
+                for t, v in zip(mean.grid.points, mean.values)])
 
 
 def write_alignment_csvs(out_dir: Path, labels: list[str],
@@ -141,9 +148,9 @@ def write_alignment_csvs(out_dir: Path, labels: list[str],
         curve_rows += [[label, _fmt(t), _fmt(v)]
                        for t, v in zip(pts, aligned.values)]
         warp_rows += [[label, _fmt(t), _fmt(g)] for t, g in zip(pts, warp.gamma)]
-    write_csv(out_dir / "aligned_curves.csv", ["participant", "t", "value"],
-              curve_rows)
-    write_csv(out_dir / "warps.csv", ["participant", "t", "gamma"], warp_rows)
+    _write_csv(out_dir / "aligned_curves.csv", ["participant", "t", "value"],
+               curve_rows)
+    _write_csv(out_dir / "warps.csv", ["participant", "t", "gamma"], warp_rows)
 
 
 def write_rolling_csv(path: Path, grid_points: np.ndarray, window: int,
@@ -152,8 +159,8 @@ def write_rolling_csv(path: Path, grid_points: np.ndarray, window: int,
     path.parent.mkdir(exist_ok=True)
     h = grid_points[1] - grid_points[0]
     centers = grid_points[: values.size] + 0.5 * (window - 1) * h
-    write_csv(path, ["t_center", "correlation"],
-              [[_fmt(t), _fmt(v)] for t, v in zip(centers, values)])
+    _write_csv(path, ["t_center", "correlation"],
+               [[_fmt(t), _fmt(v)] for t, v in zip(centers, values)])
 
 
 def write_stats_json(path: Path, report: CohortReport) -> None:

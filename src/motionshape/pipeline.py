@@ -32,7 +32,6 @@ from .core import (
 )
 from .inputs import (ManifestEntry, ManifestError, PipelineConfig,
                      load_manifest, read_trial, trial_labels)
-
 from .outputs import (publish, write_distances_csv, write_matrix_csv,
                       write_mean_csv, write_rolling_csv, write_stats_json)
 from .preprocess import butterworth_lowpass, derivative, resample

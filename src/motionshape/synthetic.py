@@ -19,6 +19,9 @@ __all__ = [
     "write_cohort",
 ]
 
+_HARMONICS = 3  # sine terms in a random warp's log-slope
+_NOISE_SD = 0.01  # of the white noise added to every trial
+
 
 def bimodal_template(grid: TimeGrid) -> Trajectory:
     """Arm-curl-like angular-velocity profile: two positive lobes."""
@@ -29,14 +32,14 @@ def bimodal_template(grid: TimeGrid) -> Trajectory:
 
 
 def random_smooth_warp(grid: TimeGrid, rng: np.random.Generator,
-                       scale: float = 0.3, harmonics: int = 3) -> Warping:
+                       scale: float = 0.3) -> Warping:
     """Random boundary-preserving diffeomorphism of [0, 1].
 
     Built as the normalized integral of exp(random low-frequency series), so
     the slope stays within roughly exp(+-2*scale) of 1.
     """
     t = grid.points
-    coef = rng.normal(0.0, scale / np.arange(1, harmonics + 1), harmonics)
+    coef = rng.normal(0.0, scale / np.arange(1, _HARMONICS + 1), _HARMONICS)
     rate = np.exp(sum(c * np.sin(2 * np.pi * (k + 1) * t)
                       for k, c in enumerate(coef)))
     g = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]))])
@@ -53,8 +56,7 @@ def _degraded_values(t: np.ndarray, severity: float) -> np.ndarray:
 
 def write_cohort(out_dir: Path | str, n_healthy: int = 10, n_patients: int = 10,
                  seed: int = 1234, null_effect: bool = False,
-                 rate_hz: float = 200.0, duration_s: float = 4.0,
-                 channel: str = "gyro", noise_sd: float = 0.01) -> Path:
+                 rate_hz: float = 200.0, duration_s: float = 4.0) -> Path:
     """Write trial CSVs plus a manifest; returns the manifest path.
 
     Healthy participants perform time-warped copies of the template. Patients
@@ -75,7 +77,7 @@ def write_cohort(out_dir: Path | str, n_healthy: int = 10, n_patients: int = 10,
         path = out / f"{name}.csv"
         with path.open("w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["time_s", channel])
+            w.writerow(["time_s", "gyro"])
             for ts, v in zip(t_s, values):
                 w.writerow([f"{ts:.9g}", f"{v:.9g}"])
         return path.name
@@ -85,7 +87,7 @@ def write_cohort(out_dir: Path | str, n_healthy: int = 10, n_patients: int = 10,
     for i in range(n_healthy):
         warp = random_smooth_warp(fine, rng, scale=0.35)
         values = np.interp(warp.gamma, t_norm, template)
-        values = values + rng.normal(0.0, noise_sd, k)
+        values = values + rng.normal(0.0, _NOISE_SD, k)
         healthy_values.append(values)
         name = f"healthy_{i:02d}"
         dyn = 20.0 * float(rng.uniform(0.95, 1.1))
@@ -108,7 +110,7 @@ def write_cohort(out_dir: Path | str, n_healthy: int = 10, n_patients: int = 10,
             warp = random_smooth_warp(fine, rng, scale=0.45)
             degraded = _degraded_values(t_norm, severity)
             values = np.interp(warp.gamma, t_norm, degraded)
-            values = values + rng.normal(0.0, noise_sd, k)
+            values = values + rng.normal(0.0, _NOISE_SD, k)
         dyn = 20.0 * severity + float(rng.normal(0.0, 0.4))
         brooke = int(np.clip(round(6 - 5 * severity), 1, 6))
         rows.append({

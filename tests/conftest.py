@@ -2,6 +2,7 @@
 helpers with `from conftest import ...`."""
 
 import concurrent.futures
+import csv
 import os
 import subprocess
 import sys
@@ -95,3 +96,20 @@ def python(code, *args, **kwargs):
     return subprocess.Popen([sys.executable, "-c", code, *map(str, args)],
                             stdout=subprocess.PIPE, text=True,
                             env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
+def extend_manifest(manifest, name, rows):
+    """Copy of `manifest` next to it, with `rows` (dicts) appended."""
+    with manifest.open(newline="") as fh:
+        entries = list(csv.DictReader(fh)) + rows
+    out = manifest.parent / name
+    with out.open("w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(entries[0]))
+        w.writeheader()
+        w.writerows(entries)
+    return out
+
+
+def trial_row(pid, trial_path):
+    return {"participant_id": pid, "cohort": "DMD", "trial_path": trial_path,
+            "brooke_score": "", "dynamometry": ""}

@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import signal
@@ -99,6 +100,60 @@ class TestPublish:
         assert main([command, "--manifest", str(other)] + args) == 0
         assert tree_bytes(out) != before
         assert not hidden(out)
+
+    def test_failed_rename_in_the_commit_keeps_the_previous_tree(
+            self, cohort_dir, tmp_path, monkeypatch, capsys):
+        # fail the 1st, 2nd, ... rename of a rerun until a rerun makes
+        # fewer renames than that and succeeds
+        out = tmp_path / "out"
+        args = ["--out", str(out), "--grid-n", "61", "--mean-max-iter", "10"]
+        assert main(["report", "--manifest", str(cohort_dir)] + args) == 0
+        before, listing = tree_bytes(out), entries(out)
+        other = write_cohort(tmp_path / "other", n_healthy=3, n_patients=3,
+                             seed=6, rate_hz=50.0, duration_s=2.0)
+        moves = {name: getattr(Path, name) for name in ("rename", "replace")}
+        for failing in itertools.count(1):
+            calls = 0
+
+            def counted(move):
+                def counted_move(path, target):
+                    nonlocal calls
+                    calls += 1
+                    if calls == failing:
+                        fail()
+                    return move(path, target)
+                return counted_move
+
+            with monkeypatch.context() as patch:
+                for name, move in moves.items():
+                    patch.setattr(Path, name, counted(move))
+                rc = main(["report", "--manifest", str(other)] + args)
+            if rc == 0:
+                break
+            assert capsys.readouterr().err == "error: disk full\n"
+            assert tree_bytes(out) == before and entries(out) == listing, \
+                f"rename {failing} failed"
+            assert not hidden(out)
+        # each old entry moved aside, then each new one moved in
+        assert failing - 1 == 2 * len(list(out.iterdir()))
+        assert tree_bytes(out) != before
+        assert not hidden(out)
+
+    @pytest.mark.skipif(fcntl is None, reason="needs fcntl")
+    def test_entry_moved_aside_by_a_killed_commit_is_put_back(
+            self, cohort_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["report", "--manifest", str(cohort_dir), "--out",
+                     str(out), "--grid-n", "61", "--mean-max-iter", "10"]) == 0
+        before, listing = tree_bytes(out), entries(out)
+        (out / ".staging-x" / "old").mkdir(parents=True)
+        (out / "rolling").rename(out / ".staging-x" / "old" / "rolling")
+        (out / ".staging-x" / "old" / "stats.json").write_text("{}")
+        with pytest.raises(OSError, match="disk full"):
+            with publish(out):
+                fail()
+        # rolling/ is back; the stale stats.json, whose namesake exists, not
+        assert tree_bytes(out) == before and entries(out) == listing
 
     def test_failed_run_pipeline_keeps_the_previous_tree(
             self, cohort_dir, tmp_path, monkeypatch):

@@ -16,11 +16,12 @@ from motionshape.core import (
     Warping,
     l2_norm,
 )
+from motionshape import lattice
 from motionshape.lattice import (
     _arrival_costs,
-    _dp_path,
     _edge_steps,
     _lattice_plan,
+    solve,
 )
 from motionshape.registration import (
     align_to_reference,
@@ -118,7 +119,7 @@ def reference_dp_tables(q1, q2, n, max_slope):
     return edges, dist, cands
 
 
-def reference_dp_path(q1, q2, n, max_slope):
+def reference_lattice_path(q1, q2, n, max_slope):
     """The minimum-cost path of reference_dp_tables, walked back from
     (n-1, n-1) along each cell's first minimum; (1,1) is edge 0."""
     edges, dist, cands = reference_dp_tables(q1, q2, n, max_slope)
@@ -160,8 +161,8 @@ class TestDpMatchesReference:
         rng = np.random.default_rng(1000 * n + max_slope)
         for _ in range(3):
             q1, q2 = rng.normal(size=n), rng.normal(size=n)
-            assert_same_path(_dp_path(q1, q2, n, max_slope),
-                             reference_dp_path(q1, q2, n, max_slope))
+            assert_same_path(solve(q1, q2, max_slope),
+                             reference_lattice_path(q1, q2, n, max_slope))
 
     @pytest.mark.parametrize("max_slope", [3, 7])
     @pytest.mark.parametrize("n", [31, 101])
@@ -173,8 +174,8 @@ class TestDpMatchesReference:
         ties = 0
         for _ in range(10):
             q1, q2 = (rng.integers(0, 2, n).astype(float) for _ in range(2))
-            want = reference_dp_path(q1, q2, n, max_slope)
-            assert_same_path(_dp_path(q1, q2, n, max_slope), want)
+            want = reference_lattice_path(q1, q2, n, max_slope)
+            assert_same_path(solve(q1, q2, max_slope), want)
             ties += off_diagonal_ties(q1, q2, n, max_slope, want)
         assert ties > 0
 
@@ -186,11 +187,13 @@ class TestDpMatchesReference:
         if block_rows is not None:
             plan = replace(plan, block_rows=block_rows)
         got = _arrival_costs(q1, q2, plan)
-        want = np.full((n, len(edges), n), np.inf)
+        assert got.shape == (n, len(edges), n)
+        # an edge that starts left of the grid (j < b) may cost anything:
+        # its departure cell is the DP table's inf padding
         for e, ((a, b), c) in enumerate(
                 zip(edges, reference_edge_costs(q1, q2, n, edges))):
-            want[a:, e, b:] = c
-        assert got.tobytes() == want.tobytes()
+            assert got[a:, e, b:].tobytes() == c.tobytes()
+            assert np.all(got[:a, e] == np.inf)
 
     @pytest.mark.parametrize("n, max_slope",
                              [(3, 7), (8, 3), (31, 7), (101, 7), (201, 3)])
@@ -223,40 +226,55 @@ class TestDpMatchesReference:
         with np.errstate(under="ignore", over="ignore", invalid="ignore"):
             self.assert_arrival_costs_match(q1, q2, n, 7)
 
+    @pytest.mark.parametrize("n, max_slope",
+                             [(3, 7), (8, 3), (31, 7), (101, 7)])
+    def test_arrival_costs_off_the_grid_are_never_taken(self, monkeypatch,
+                                                         n, max_slope):
+        # an edge that would start off the grid departs from the DP table's
+        # inf padding, so even a hugely negative cost on it changes nothing
+        arrival_costs = lattice._arrival_costs
+
+        def bargains_off_the_grid(q1, q2, plan):
+            out = arrival_costs(q1, q2, plan)
+            for e, (a, b) in enumerate(plan.edges):
+                out[:a, e] = out[:, e, :b] = -1e300
+            return out
+
+        monkeypatch.setattr(lattice, "_arrival_costs", bargains_off_the_grid)
+        rng = np.random.default_rng(1000 * n + max_slope)
+        for _ in range(3):
+            q1, q2 = rng.normal(size=n), rng.normal(size=n)
+            assert_same_path(solve(q1, q2, max_slope),
+                             reference_lattice_path(q1, q2, n, max_slope))
+        q = rng.normal(size=n)
+        assert_same_path(solve(q, q, max_slope),
+                         reference_lattice_path(q, q, n, max_slope))
+
     @pytest.mark.parametrize("n", [3, 8, 101])
     def test_self_pair_is_free_diagonal(self, n):
         q = np.random.default_rng(n).normal(size=n)
-        got = _dp_path(q, q, n, 7)
+        got = solve(q, q, 7)
         assert got[2] == 0.0
         assert np.array_equal(got[0], np.arange(n, dtype=float))
         assert np.array_equal(got[1], np.arange(n, dtype=float))
-        assert_same_path(got, reference_dp_path(q, q, n, 7))
+        assert_same_path(got, reference_lattice_path(q, q, n, 7))
 
     @pytest.mark.parametrize("n", [3, 8, 101])
     def test_all_ties_pick_diagonal(self, n):
         q = np.zeros(n)
-        got = _dp_path(q, q, n, 7)
+        got = solve(q, q, 7)
         assert got[2] == 0.0
         assert np.array_equal(got[0], np.arange(n, dtype=float))
         assert np.array_equal(got[1], np.arange(n, dtype=float))
-        assert_same_path(got, reference_dp_path(q, q, n, 7))
+        assert_same_path(got, reference_lattice_path(q, q, n, 7))
 
 
 class TestLatticePlan:
-    @staticmethod
-    def arrays(plan):
-        yield plan.positions
-        yield plan.scales
-        for g in plan.groups:
-            yield g.off_grid
-
     @pytest.mark.parametrize("n, max_slope", [(3, 7), (31, 3), (101, 7)])
     def test_cached_arrays_are_read_only(self, n, max_slope):
         plan = _lattice_plan(n, max_slope)
         assert _lattice_plan(n, max_slope) is plan
-        arrays = list(self.arrays(plan))
-        assert len(arrays) == 2 + len(plan.groups)
-        for arr in arrays:
+        for arr in (plan.positions, plan.scales):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
 
@@ -264,8 +282,8 @@ class TestLatticePlan:
         rng = np.random.default_rng(24)
         for n, max_slope in [(31, 3), (101, 7), (31, 3)]:
             q1, q2 = rng.normal(size=n), rng.normal(size=n)
-            assert_same_path(_dp_path(q1, q2, n, max_slope),
-                             reference_dp_path(q1, q2, n, max_slope))
+            assert_same_path(solve(q1, q2, max_slope),
+                             reference_lattice_path(q1, q2, n, max_slope))
 
 
 class TestSrvfTransform:
