@@ -101,8 +101,6 @@ def _to_number(field: str, kind: type = float) -> float:
     try:
         return kind(field)
     except ValueError as exc:
-        if len(field) <= MAX_QUOTED_CHARS:
-            raise
         # both messages are "<what failed>: <repr of the field>"
         what = str(exc).partition(": ")[0]
         raise ValueError(f"{what}: {_quoted(field)}") from None

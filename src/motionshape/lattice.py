@@ -155,7 +155,7 @@ def _trapezoid_sums(at: np.ndarray, q1: np.ndarray,
 def solve(q1: np.ndarray, q2: np.ndarray,
           max_slope: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimum-cost monotone lattice path from (0,0) to (n-1,n-1) between
-    two arrays of one length n, as row indices, column indices and cost.
+    two arrays of one length n >= 2, as row indices, column indices and cost.
 
     Steps are the coprime pairs (a, b) with 1 <= a, b <= max_slope, so path
     slopes stay within [1/max_slope, max_slope]; steps longer than the grid
@@ -175,6 +175,9 @@ def solve(q1: np.ndarray, q2: np.ndarray,
         raise DimensionError(f"solve needs arrays of one length, got "
                              f"{len(q1)} and {len(q2)}")
     n = len(q1)
+    if n < 2:
+        raise DimensionError(f"solve needs arrays of at least 2 samples, "
+                             f"got {n}")
     plan = _lattice_plan(n, max_slope)
     edges = plan.edges
     arrive = _arrival_costs(q1, q2, plan)

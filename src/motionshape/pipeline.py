@@ -28,12 +28,11 @@ from .core import (
     Trajectory,
     fork_map,
     l2_norm,
-    worker_pool,
 )
 from .inputs import (ManifestEntry, ManifestError, PipelineConfig,
                      load_manifest, read_trial, trial_labels)
-from .outputs import (publish, write_distances_csv, write_matrix_csv,
-                      write_mean_csv, write_rolling_csv, write_stats_json)
+from .outputs import (write_distances_csv, write_matrix_csv, write_mean_csv,
+                      write_rolling_csv, write_stats_json)
 from .preprocess import butterworth_lowpass, derivative, resample
 from .registration import (
     MIN_SIGNAL_NORM,
@@ -51,7 +50,6 @@ __all__ = [
     "Run",
     "stages",
     "write_report",
-    "run_pipeline",
 ]
 
 # a smoothed signal whose derivative's L2 norm is at most this share of its
@@ -371,13 +369,3 @@ def write_report(out_dir: Path | str, report: CohortReport) -> None:
                           values)
     write_stats_json(out / "stats.json", report)
 
-
-def run_pipeline(manifest_path: Path | str, config: PipelineConfig,
-                 out_dir: Path | str, skip_bad: bool = False) -> CohortReport:
-    """Run the whole chain in one worker pool, then publish its report
-    into `out_dir`."""
-    with worker_pool():
-        _, run = list(stages(manifest_path, config, skip_bad))[-1]
-    with publish(Path(out_dir)) as staging:
-        write_report(staging, run.report)
-    return run.report

@@ -98,6 +98,14 @@ def python(code, *args, **kwargs):
                             env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
+def write_manifest(path, entries):
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["participant_id", "cohort", "trial_path",
+                    "brooke_score", "dynamometry"])
+        w.writerows(entries)
+
+
 def extend_manifest(manifest, name, rows):
     """Copy of `manifest` next to it, with `rows` (dicts) appended."""
     with manifest.open(newline="") as fh:

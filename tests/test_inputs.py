@@ -1,5 +1,5 @@
-"""The input formats: `PipelineConfig` from its file and flags, and the
-trial reader against the original per-row reader."""
+"""The input formats: `PipelineConfig` from its file and flags, the cohort
+manifest, and the trial reader against the original per-row reader."""
 
 import ast
 import csv
@@ -16,11 +16,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from motionshape import inputs, pipeline
 from motionshape.cli import main
-from motionshape.inputs import ManifestError, PipelineConfig
+from motionshape.inputs import ManifestError, PipelineConfig, load_manifest
 from motionshape.pipeline import IngestResult, ingest
 from motionshape.preprocess import RawRecording
 
-from conftest import extend_manifest, trial_row
+from conftest import extend_manifest, trial_row, write_manifest
 
 
 # a valid, non-default value for every PipelineConfig field
@@ -149,6 +149,14 @@ class TestConfig:
         with pytest.raises(ManifestError, match=r"cfg\.txt:2.*wavelet"):
             PipelineConfig.from_file(f)
 
+    def test_line_without_equals_names_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid_n = 61\nwavelet db4\n")
+        assert main(["ingest-check", "--manifest", "unused.csv",
+                     "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}:2: expected 'key = value', got 'wavelet db4'\n"
+
     def test_bad_value_names_field(self, tmp_path):
         f = tmp_path / "cfg.txt"
         f.write_text("grid_n = eleven\n")
@@ -246,6 +254,192 @@ class TestConfig:
         assert seen == [PipelineConfig(**NON_DEFAULT)]
         for k, v in NON_DEFAULT.items():
             assert type(getattr(seen[0], k)) is type(v), k
+
+
+class TestManifest:
+    def test_load_and_sort(self, cohort_dir):
+        entries = load_manifest(cohort_dir)
+        assert len(entries) == 5
+        ids = [e.participant_id for e in entries]
+        assert ids == sorted(ids)
+        assert {e.cohort for e in entries} <= {"healthy", "DMD", "SMA"}
+
+    def test_unknown_cohort(self, tmp_path):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "control", "x.csv", "", ""]])
+        with pytest.raises(ManifestError, match=r"m\.csv:2.*control"):
+            load_manifest(m)
+
+    def test_duplicate_pair(self, tmp_path):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "healthy", "x.csv", "", ""],
+                           ["P1", "healthy", "x.csv", "", ""]])
+        with pytest.raises(ManifestError, match="duplicate"):
+            load_manifest(m)
+
+    def test_duplicate_label(self, tmp_path):
+        # different files, but both trials would be labelled X1#t
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["X1", "healthy", "a/t.csv", "", ""],
+                           ["X1", "healthy", "b/t.csv", "", ""]])
+        with pytest.raises(ManifestError, match=r"m\.csv:3: duplicate.*X1#t"):
+            load_manifest(m)
+
+    @pytest.mark.parametrize("pid", ["../../escaped", "a/b", "a\\b"])
+    def test_participant_id_with_path_separator(self, tmp_path, pid):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [[pid, "healthy", "x.csv", "", ""]])
+        with pytest.raises(ManifestError, match=r"m\.csv:2.*participant_id"):
+            load_manifest(m)
+
+    @pytest.mark.parametrize("row, field", [
+        (["P\0X", "healthy", "b.csv"], "participant_id 'P\\x00X'"),
+        (["P2", "healthy", "b\0.csv"], "trial_path 'b\\x00.csv'"),
+    ], ids=["participant_id", "trial_path"])
+    def test_nul_character_rejected(self, tmp_path, row, field):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "healthy", "a.csv", "", ""], row])
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(m)
+        assert str(exc.value) == f"{m}:3: {field} contains a NUL character"
+
+    @pytest.mark.parametrize("rows, rowno, size", [
+        ([["P1", "a.csv"], ["x" * 252, "b.csv"]], 3, 256),
+        # 126 characters, but 252 bytes in UTF-8
+        ([["\u00e9" * 126, "a.csv"]], 2, 256),
+        # the id alone would fit; with '#t1' its label does not
+        ([["x" * 249, "t1.csv"], ["x" * 249, "t2.csv"]], 2, 256),
+    ], ids=["ascii", "utf-8", "several trials"])
+    def test_label_too_long_for_a_file_name(self, tmp_path, rows, rowno,
+                                            size):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [[pid, "healthy", trial, "", ""]
+                           for pid, trial in rows])
+        with pytest.raises(ManifestError,
+                           match=rf"m\.csv:{rowno}: trial label .* makes a "
+                                 rf"{size}-byte file name, longer than 255"):
+            load_manifest(m)
+
+    def test_longest_file_names_accepted(self, tmp_path):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["x" * 251, "healthy", "a.csv", "", ""],
+                           ["\u00e9" * 125, "healthy", "b.csv", "", ""]])
+        names = [f"{e.participant_id}.csv" for e in load_manifest(m)]
+        assert [len(n.encode()) for n in names] == [255, 254]
+        for name in names:
+            (tmp_path / name).write_text("")
+
+    @pytest.mark.parametrize("rows, label, first", [
+        ([["P1", "a.csv"], ["p1", "b.csv"]], "p1", "P1"),
+        ([["X1", "a/t.csv"], ["X1", "b/T.csv"]], "X1#T", "X1#t"),
+        ([["STRASSE", "a.csv"], ["stra\u00dfe", "b.csv"]], "stra\u00dfe",
+         "STRASSE"),
+    ], ids=["id", "stem", "casefold"])
+    def test_labels_differing_only_by_case(self, tmp_path, rows, label,
+                                           first):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [[pid, "healthy", trial, "", ""]
+                           for pid, trial in rows])
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(m)
+        assert str(exc.value) == (
+            f"{m}:3: duplicate trial label {label!r} (first at row 2 as "
+            f"{first!r}, which differs only by case)")
+
+    def test_brooke_out_of_range(self, tmp_path):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "DMD", "x.csv", "9", ""]])
+        with pytest.raises(ManifestError, match="brooke"):
+            load_manifest(m)
+
+    @pytest.mark.parametrize("field, quoted", [
+        ("abc", "'abc'"),
+        ("x" * 300, f"{'x' * inputs.MAX_QUOTED_CHARS!r}... (300 characters)"),
+    ], ids=["short", "long"])
+    def test_brooke_not_an_integer_quotes_a_short_prefix(self, tmp_path,
+                                                         field, quoted):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "DMD", "x.csv", field, ""]])
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(m)
+        assert str(exc.value) == (
+            f"{m}:2: invalid literal for int() with base 10: {quoted}")
+
+    @pytest.mark.parametrize("row, error", [
+        (["P2", "DMD", "", "", ""],
+         "participant_id and trial_path are required"),
+        (["P2", "DMD", "b.csv", "", "-1"],
+         "dynamometry must be a nonnegative real"),
+        (["P2", "DMD", "b.csv", "", "inf"],
+         "dynamometry must be a nonnegative real"),
+    ], ids=["empty trial_path", "negative dynamometry", "inf dynamometry"])
+    def test_bad_row_exits_2_naming_its_line(self, tmp_path, capsys, row,
+                                              error):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "healthy", "a.csv", "", ""], row])
+        assert main(["ingest-check", "--manifest", str(m)]) == 2
+        assert capsys.readouterr().err == f"error: {m}:3: {error}\n"
+
+    def test_missing_columns(self, tmp_path):
+        m = tmp_path / "m.csv"
+        m.write_text("participant_id,cohort\nP1,healthy\n")
+        with pytest.raises(ManifestError, match="missing columns"):
+            load_manifest(m)
+
+    def test_row_number_counts_blank_lines(self, tmp_path):
+        m = tmp_path / "m.csv"
+        m.write_text("participant_id,cohort,trial_path\n"
+                     "P1,healthy,a.csv\n\n\nP2,control,b.csv\n")
+        with pytest.raises(ManifestError, match=r"m\.csv:5: .*control"):
+            load_manifest(m)
+
+    @pytest.mark.parametrize("pid, error", [
+        ('"P2\nx"', "cohort 'control'"),
+        (f'"P2\n{"b" * 200_000}"', "field larger than field limit"),
+    ], ids=["row error", "csv error"])
+    def test_row_spanning_lines_names_its_first(self, tmp_path, pid, error):
+        m = tmp_path / "m.csv"
+        m.write_text("participant_id,cohort,trial_path\nP1,healthy,a.csv\n"
+                     f"{pid},control,b.csv\n")
+        with pytest.raises(ManifestError, match=rf"m\.csv:3: {error}"):
+            load_manifest(m)
+
+    def test_short_row_lacks_optional_fields(self, tmp_path):
+        m = tmp_path / "m.csv"
+        write_manifest(m, [["P1", "DMD", "a.csv"]])
+        (entry,) = load_manifest(m)
+        assert (entry.brooke_score, entry.dynamometry) == (None, None)
+
+    @pytest.mark.parametrize("header, dup", [
+        ("participant_id,cohort,trial_path,cohort", "cohort"),
+        ("participant_id,cohort,trial_path,brooke_score,brooke_score",
+         "brooke_score"),
+        ("trial_path,participant_id,cohort,trial_path,trial_path",
+         "trial_path"),
+    ])
+    def test_duplicate_column_rejected(self, tmp_path, header, dup):
+        m = tmp_path / "m.csv"
+        count = header.split(",").count(dup)
+        m.write_text(header + "\nP1,healthy,a.csv,SMA,3\n")
+        with pytest.raises(ManifestError,
+                           match=rf"m\.csv: .*'{dup}' {count} times"):
+            load_manifest(m)
+
+    def test_undecodable_bytes_name_file_and_line(self, tmp_path):
+        m = tmp_path / "m.csv"
+        m.write_bytes(b"participant_id,cohort,trial_path\nP1,healthy,a.csv\n"
+                      b"P2,healthy,b\xe9.csv\n")
+        with pytest.raises(ManifestError,
+                           match=r"m\.csv:3: 'utf-8' codec can't decode byte 0xe9"):
+            load_manifest(m)
+
+    def test_oversized_field_names_line(self, tmp_path):
+        m = tmp_path / "m.csv"
+        m.write_text("participant_id,cohort,trial_path\nP1,healthy,a.csv\n"
+                     f"P2,healthy,{'b' * 200_000}.csv\n")
+        with pytest.raises(ManifestError,
+                           match=r"m\.csv:3: field larger than field limit"):
+            load_manifest(m)
 
 
 class TestTrialReaders:

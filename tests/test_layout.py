@@ -1,17 +1,25 @@
-"""The package's layout rule: no module uses another module's private names.
+"""The package's layout rule, and the README's names of its code.
 
-A private name is one that starts with a single underscore. Each module of
-`src/motionshape` is parsed with `ast`; it may neither import such a name
-from a sibling (`from .x import _name`) nor read one as an attribute of a
-sibling module it imported (`from . import x` ... `x._name`).
+No module uses another module's private names. A private name is one that
+starts with a single underscore. Each module of `src/motionshape` is parsed
+with `ast`; it may neither import such a name from a sibling
+(`from .x import _name`) nor read one as an attribute of a sibling module it
+imported (`from . import x` ... `x._name`).
+
+Every `module.name` the README's prose names in backticks, for one of the
+package's modules, and every name a README `python` block imports, exists.
 """
 
 import ast
+import re
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "motionshape"
+README = PACKAGE.parents[1] / "README.md"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
 def _private(name: str) -> bool:
@@ -76,3 +84,59 @@ def test_checker_allows_public_and_foreign_names(source):
                          ids=lambda p: p.name)
 def test_no_module_uses_a_siblings_private_names(path):
     assert private_uses(path.read_text()) == []
+
+
+def readme_references(text: str) -> list[tuple[str, str]]:
+    """(module, name) of each backticked span of `text`, outside code
+    blocks, that starts with `module.name` or `motionshape.module.name`
+    for one of MODULES."""
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.MULTILINE | re.DOTALL)
+    start = re.compile(rf"(?:{PACKAGE.name}\.)?({'|'.join(MODULES)})\.(\w+)")
+    return [m.groups() for span in re.findall(r"`([^`]+)`", prose)
+            if (m := start.match(span))]
+
+
+def readme_imports(text: str) -> list[tuple[str, str | None]]:
+    """(module, name) of each name imported in a `python` block of `text`;
+    name is None for a plain `import module`."""
+    found = []
+    for block in re.findall(r"^```python\n(.*?)^```", text,
+                            flags=re.MULTILINE | re.DOTALL):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.Import):
+                found += [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                found += [(node.module, alias.name) for alias in node.names]
+    return found
+
+
+@pytest.mark.parametrize("text, want", [
+    ("`core.worker_pool()` and `motionshape.lattice.solve`",
+     [("core", "worker_pool"), ("lattice", "solve")]),
+    ("`motionshape.pipeline.stages(manifest,\nconfig)`",
+     [("pipeline", "stages")]),
+    ("`src/motionshape/core.py`, `np.interp`, `corex.y`, `x` core.y", []),
+    ("```python\nx = `core.y`\n```\n`outputs.publish`",
+     [("outputs", "publish")]),
+], ids=["spans", "span over two lines", "no reference", "code block"])
+def test_readme_references_are_found(text, want):
+    assert readme_references(text) == want
+
+
+def test_readme_references_resolve():
+    refs = readme_references(README.read_text())
+    assert refs
+    assert [f"{module}.{name}" for module, name in refs
+            if not hasattr(import_module(f"{PACKAGE.name}.{module}"), name)
+            ] == []
+
+
+def test_readme_imports_exist():
+    imports = readme_imports(README.read_text())
+    assert imports
+    missing = []
+    for module, name in imports:
+        found = import_module(module)  # a missing module raises here
+        if name is not None and not hasattr(found, name):
+            missing.append(f"{module}.{name}")
+    assert missing == []

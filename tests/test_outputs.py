@@ -18,12 +18,10 @@ except ImportError:  # Windows: no flock
 from motionshape import cli, lattice, outputs, pipeline
 from motionshape.core import fork_map, worker_pool
 from motionshape.cli import main
-from motionshape.inputs import PipelineConfig
 from motionshape.outputs import publish
-from motionshape.pipeline import run_pipeline
 from motionshape.synthetic import write_cohort
 
-from conftest import FAST, python, tree_bytes, two_cpus
+from conftest import python, tree_bytes, two_cpus
 
 
 def entries(out):
@@ -153,18 +151,6 @@ class TestPublish:
             with publish(out):
                 fail()
         # rolling/ is back; the stale stats.json, whose namesake exists, not
-        assert tree_bytes(out) == before and entries(out) == listing
-
-    def test_failed_run_pipeline_keeps_the_previous_tree(
-            self, cohort_dir, tmp_path, monkeypatch):
-        out = tmp_path / "out"
-        run_pipeline(cohort_dir, PipelineConfig(**FAST), out)
-        before, listing = tree_bytes(out), entries(out)
-        other = write_cohort(tmp_path / "other", n_healthy=3, n_patients=3,
-                             seed=6, rate_hz=50.0, duration_s=2.0)
-        monkeypatch.setattr(pipeline, "write_stats_json", fail)
-        with pytest.raises(OSError, match="disk full"):
-            run_pipeline(other, PipelineConfig(**FAST), out)
         assert tree_bytes(out) == before and entries(out) == listing
 
     def test_out_naming_a_file_refused_before_ingest(self, cohort_dir,

@@ -14,17 +14,17 @@ import numpy as np
 import pytest
 
 import motionshape
-from motionshape.core import (DegenerateInputError, InsufficientDataError,
-                              worker_pool)
+from motionshape.core import InsufficientDataError, worker_pool
 from motionshape import inputs, lattice, pipeline
 from motionshape.cli import main
 from motionshape.analytics import pairwise_matrix
-from motionshape.inputs import ManifestError, PipelineConfig, load_manifest
-from motionshape.pipeline import ingest, run_pipeline
+from motionshape.inputs import ManifestError, PipelineConfig
+from motionshape.pipeline import ingest, stages
 from motionshape.registration import align_pairwise
 from motionshape.synthetic import write_cohort
 
-from conftest import FAST, extend_manifest, trial_row, tree_bytes, two_cpus
+from conftest import (FAST, extend_manifest, trial_row, tree_bytes, two_cpus,
+                      write_manifest)
 
 
 def write_trial(path, rows, header=("time_s", "gyro")):
@@ -34,14 +34,6 @@ def write_trial(path, rows, header=("time_s", "gyro")):
         w.writerows(rows)
 
 
-def write_manifest(path, entries):
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["participant_id", "cohort", "trial_path",
-                    "brooke_score", "dynamometry"])
-        w.writerows(entries)
-
-
 def all_bad_manifest(tmp_path):
     """A manifest of three trials whose files do not exist."""
     m = tmp_path / "m.csv"
@@ -49,177 +41,6 @@ def all_bad_manifest(tmp_path):
                        ["P2", "healthy", "ghost2.csv", "", ""],
                        ["P3", "DMD", "ghost3.csv", "", ""]])
     return m
-
-
-class TestManifest:
-    def test_load_and_sort(self, cohort_dir):
-        entries = load_manifest(cohort_dir)
-        assert len(entries) == 5
-        ids = [e.participant_id for e in entries]
-        assert ids == sorted(ids)
-        assert {e.cohort for e in entries} <= {"healthy", "DMD", "SMA"}
-
-    def test_unknown_cohort(self, tmp_path):
-        m = tmp_path / "m.csv"
-        write_manifest(m, [["P1", "control", "x.csv", "", ""]])
-        with pytest.raises(ManifestError, match=r"m\.csv:2.*control"):
-            load_manifest(m)
-
-    def test_duplicate_pair(self, tmp_path):
-        m = tmp_path / "m.csv"
-        write_manifest(m, [["P1", "healthy", "x.csv", "", ""],
-                           ["P1", "healthy", "x.csv", "", ""]])
-        with pytest.raises(ManifestError, match="duplicate"):
-            load_manifest(m)
-
-    def test_duplicate_label(self, tmp_path):
-        # different files, but both trials would be labelled X1#t
-        m = tmp_path / "m.csv"
-        write_manifest(m, [["X1", "healthy", "a/t.csv", "", ""],
-                           ["X1", "healthy", "b/t.csv", "", ""]])
-        with pytest.raises(ManifestError, match=r"m\.csv:3: duplicate.*X1#t"):
-            load_manifest(m)
-
-    @pytest.mark.parametrize("pid", ["../../escaped", "a/b", "a\\b"])
-    def test_participant_id_with_path_separator(self, tmp_path, pid):
-        m = tmp_path / "m.csv"
-        write_manifest(m, [[pid, "healthy", "x.csv", "", ""]])
-        with pytest.raises(ManifestError, match=r"m\.csv:2.*participant_id"):
-            load_manifest(m)
-
-    @pytest.mark.parametrize("row, field", [
-        (["P\0X", "healthy", "b.csv"], "participant_id 'P\\x00X'"),
-        (["P2", "healthy", "b\0.csv"], "trial_path 'b\\x00.csv'"),
-    ], ids=["participant_id", "trial_path"])
-    def test_nul_character_rejected(self, tmp_path, row, field):
-        m = tmp_path / "m.csv"
-        write_manifest(m, [["P1", "healthy", "a.csv", "", ""], row])
-        with pytest.raises(ManifestError) as exc:
-            load_manifest(m)
-        assert str(exc.value) == f"{m}:3: {field} contains a NUL character"
-
-    @pytest.mark.parametrize("rows, rowno, size", [
-        ([["P1", "a.csv"], ["x" * 252, "b.csv"]], 3, 256),
-        # 126 characters, but 252 bytes in UTF-8
-        ([["\u00e9" * 126, "a.csv"]], 2, 256),
-        # the id alone would fit; with '#t1' its label does not
-        ([["x" * 249, "t1.csv"], ["x" * 249, "t2.csv"]], 2, 256),
-    ], ids=["ascii", "utf-8", "several trials"])
-    def test_label_too_long_for_a_file_name(self, tmp_path, rows, rowno,
-                                            size):
-        m = tmp_path / "m.csv"
-        write_manifest(m, [[pid, "healthy", trial, "", ""]
-                           for pid, trial in rows])
-        with pytest.raises(ManifestError,
-                           match=rf"m\.csv:{rowno}: trial label .* makes a "
-                                 rf"{size}-byte file name, longer than 255"):
-            load_manifest(m)
-
-    def test_longest_file_names_accepted(self, tmp_path):
-        m = tmp_path / "m.csv"
-        write_manifest(m, [["x" * 251, "healthy", "a.csv", "", ""],
-                           ["\u00e9" * 125, "healthy", "b.csv", "", ""]])
-        names = [f"{e.participant_id}.csv" for e in load_manifest(m)]
-        assert [len(n.encode()) for n in names] == [255, 254]
-        for name in names:
-            (tmp_path / name).write_text("")
-
-    @pytest.mark.parametrize("rows, label, first", [
-        ([["P1", "a.csv"], ["p1", "b.csv"]], "p1", "P1"),
-        ([["X1", "a/t.csv"], ["X1", "b/T.csv"]], "X1#T", "X1#t"),
-        ([["STRASSE", "a.csv"], ["stra\u00dfe", "b.csv"]], "stra\u00dfe",
-         "STRASSE"),
-    ], ids=["id", "stem", "casefold"])
-    def test_labels_differing_only_by_case(self, tmp_path, rows, label,
-                                           first):
-        m = tmp_path / "m.csv"
-        write_manifest(m, [[pid, "healthy", trial, "", ""]
-                           for pid, trial in rows])
-        with pytest.raises(ManifestError) as exc:
-            load_manifest(m)
-        assert str(exc.value) == (
-            f"{m}:3: duplicate trial label {label!r} (first at row 2 as "
-            f"{first!r}, which differs only by case)")
-
-    def test_brooke_out_of_range(self, tmp_path):
-        m = tmp_path / "m.csv"
-        write_manifest(m, [["P1", "DMD", "x.csv", "9", ""]])
-        with pytest.raises(ManifestError, match="brooke"):
-            load_manifest(m)
-
-    @pytest.mark.parametrize("field, quoted", [
-        ("abc", "'abc'"),
-        ("x" * 300, f"{'x' * inputs.MAX_QUOTED_CHARS!r}... (300 characters)"),
-    ], ids=["short", "long"])
-    def test_brooke_not_an_integer_quotes_a_short_prefix(self, tmp_path,
-                                                         field, quoted):
-        m = tmp_path / "m.csv"
-        write_manifest(m, [["P1", "DMD", "x.csv", field, ""]])
-        with pytest.raises(ManifestError) as exc:
-            load_manifest(m)
-        assert str(exc.value) == (
-            f"{m}:2: invalid literal for int() with base 10: {quoted}")
-
-    def test_missing_columns(self, tmp_path):
-        m = tmp_path / "m.csv"
-        m.write_text("participant_id,cohort\nP1,healthy\n")
-        with pytest.raises(ManifestError, match="missing columns"):
-            load_manifest(m)
-
-    def test_row_number_counts_blank_lines(self, tmp_path):
-        m = tmp_path / "m.csv"
-        m.write_text("participant_id,cohort,trial_path\n"
-                     "P1,healthy,a.csv\n\n\nP2,control,b.csv\n")
-        with pytest.raises(ManifestError, match=r"m\.csv:5: .*control"):
-            load_manifest(m)
-
-    @pytest.mark.parametrize("pid, error", [
-        ('"P2\nx"', "cohort 'control'"),
-        (f'"P2\n{"b" * 200_000}"', "field larger than field limit"),
-    ], ids=["row error", "csv error"])
-    def test_row_spanning_lines_names_its_first(self, tmp_path, pid, error):
-        m = tmp_path / "m.csv"
-        m.write_text("participant_id,cohort,trial_path\nP1,healthy,a.csv\n"
-                     f"{pid},control,b.csv\n")
-        with pytest.raises(ManifestError, match=rf"m\.csv:3: {error}"):
-            load_manifest(m)
-
-    def test_short_row_lacks_optional_fields(self, tmp_path):
-        m = tmp_path / "m.csv"
-        write_manifest(m, [["P1", "DMD", "a.csv"]])
-        (entry,) = load_manifest(m)
-        assert (entry.brooke_score, entry.dynamometry) == (None, None)
-
-    @pytest.mark.parametrize("header, dup", [
-        ("participant_id,cohort,trial_path,cohort", "cohort"),
-        ("participant_id,cohort,trial_path,brooke_score,brooke_score",
-         "brooke_score"),
-        ("trial_path,participant_id,cohort,trial_path,trial_path",
-         "trial_path"),
-    ])
-    def test_duplicate_column_rejected(self, tmp_path, header, dup):
-        m = tmp_path / "m.csv"
-        count = header.split(",").count(dup)
-        m.write_text(header + "\nP1,healthy,a.csv,SMA,3\n")
-        with pytest.raises(ManifestError,
-                           match=rf"m\.csv: .*'{dup}' {count} times"):
-            load_manifest(m)
-
-    def test_undecodable_bytes_name_file_and_line(self, tmp_path):
-        m = tmp_path / "m.csv"
-        m.write_bytes(b"participant_id,cohort,trial_path\nP1,healthy,a.csv\n"
-                      b"P2,healthy,b\xe9.csv\n")
-        with pytest.raises(ManifestError,
-                           match=r"m\.csv:3: 'utf-8' codec can't decode byte 0xe9"):
-            load_manifest(m)
-
-    def test_oversized_field_names_line(self, tmp_path):
-        m = tmp_path / "m.csv"
-        m.write_text("participant_id,cohort,trial_path\nP1,healthy,a.csv\n"
-                     f"P2,healthy,{'b' * 200_000}.csv\n")
-        with pytest.raises(ManifestError,
-                           match=r"m\.csv:3: field larger than field limit"):
-            load_manifest(m)
 
 
 class TestIngest:
@@ -620,12 +441,6 @@ class TestRunPool:
         argv = ["report", "--manifest", str(cohort_dir), "--grid-n", "61",
                 "--mean-max-iter", "10", "--out", str(tmp_path / "out")]
         assert main(argv) == 0
-        assert len(pools) == 1
-        assert multiprocessing.active_children() == []
-
-    def test_run_pipeline_runs_in_one_pool(self, cohort_dir, tmp_path, pools):
-        two_cpus()
-        run_pipeline(cohort_dir, PipelineConfig(**FAST), tmp_path / "out")
         assert len(pools) == 1 and len(pools[0].maps) >= 4
         assert multiprocessing.active_children() == []
 
@@ -645,18 +460,28 @@ class TestRunPool:
         assert not (tmp_path / "out" / "mean_healthy.csv").exists()
 
 
+def report_argv(manifest, out, *flags):
+    """`motionshape report` arguments at the settings of FAST."""
+    return ["report", "--manifest", str(manifest), "--out", str(out),
+            "--grid-n", "61", "--mean-max-iter", "10", *flags]
+
+
 class TestRunPipeline:
-    def test_single_healthy_rejected(self, tmp_path):
+    def test_single_healthy_rejected(self, tmp_path, capsys):
         t = np.linspace(0, 2, 40)
         write_trial(tmp_path / "a.csv", zip(t, np.sin(t)))
         m = tmp_path / "m.csv"
         write_manifest(m, [["P1", "healthy", "a.csv", "", ""]])
-        with pytest.raises(DegenerateInputError, match="reference"):
-            run_pipeline(m, PipelineConfig(grid_n=31), tmp_path / "out")
+        assert main(report_argv(m, tmp_path / "out")) == 2
+        assert capsys.readouterr().err == ("error: cannot build reference "
+                                           "mean: need >= 2 healthy trials, "
+                                           "have 1\n")
 
     def test_outputs_and_roundtrip(self, cohort_dir, tmp_path):
         out = tmp_path / "out"
-        report = run_pipeline(cohort_dir, PipelineConfig(**FAST), out)
+        assert main(report_argv(cohort_dir, out)) == 0
+        _, run = list(stages(cohort_dir, PipelineConfig(**FAST)))[-1]
+        report = run.report
         for name in ("distances.csv", "matrix_pre.csv", "matrix_post.csv",
                      "stats.json", "mean_healthy.csv"):
             assert (out / name).is_file()
@@ -679,15 +504,19 @@ class TestRunPipeline:
         m = extend_manifest(cohort_dir, "with_bad.csv",
                             [trial_row("PX", "ghost.csv")])
         out = tmp_path / "out"
-        report = run_pipeline(m, PipelineConfig(**FAST), out, skip_bad=True)
+        assert main(report_argv(m, out, "--skip-bad")) == 0
         stats = json.loads((out / "stats.json").read_text())
         assert stats["skipped_trials"] == 1
         assert stats["skipped"][0]["label"] == "PX"
-        assert len(report.scores) == 5
+        assert len(stats["distances"]) == 5
 
 
 def rolling_names(out):
     return sorted(p.name for p in (out / "rolling").iterdir())
+
+
+def read_stats(out):
+    return json.loads((out / "stats.json").read_text())
 
 
 class TestRerunIntoUsedOut:
@@ -706,27 +535,29 @@ class TestRerunIntoUsedOut:
 
     def test_fewer_trials(self, cohort_dir, six, tmp_path):
         out = tmp_path / "out"
-        run_pipeline(six, PipelineConfig(**FAST), out)
+        assert main(report_argv(six, out)) == 0
         assert "P02.csv" in rolling_names(out)
-        report = run_pipeline(cohort_dir, PipelineConfig(**FAST), out)
+        assert main(report_argv(cohort_dir, out)) == 0
         assert rolling_names(out) == \
-            sorted(f"{s.label}.csv" for s in report.scores)
+            sorted(f"{label}.csv" for label in read_stats(out)["distances"])
         assert sorted(p.name for p in out.iterdir()) == self.REPORT
 
     def test_skipped_trial(self, six, tmp_path):
         out = tmp_path / "out"
-        run_pipeline(six, PipelineConfig(**FAST), out)
+        assert main(report_argv(six, out)) == 0
         write_trial(six.parent / "p02.csv", [(i / 50, 0.0) for i in range(100)])
-        report = run_pipeline(six, PipelineConfig(**FAST), out, skip_bad=True)
-        assert [label for label, _ in report.skipped] == ["P02"]
+        assert main(report_argv(six, out, "--skip-bad")) == 0
+        stats = read_stats(out)
+        assert [s["label"] for s in stats["skipped"]] == ["P02"]
         assert "P02.csv" not in rolling_names(out)
-        assert len(rolling_names(out)) == len(report.scores) == 5
+        assert len(rolling_names(out)) == len(stats["distances"]) == 5
         assert sorted(p.name for p in out.iterdir()) == self.REPORT
 
     def test_failed_writer_keeps_the_old_rolling(self, cohort_dir, six,
-                                                 tmp_path, monkeypatch):
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
         out = tmp_path / "out"
-        run_pipeline(six, PipelineConfig(**FAST), out)
+        assert main(report_argv(six, out)) == 0
         before = tree_bytes(out / "rolling")
         calls, write = [], pipeline.write_rolling_csv
 
@@ -737,8 +568,8 @@ class TestRerunIntoUsedOut:
             return write(*args)
 
         monkeypatch.setattr(pipeline, "write_rolling_csv", fail_second)
-        with pytest.raises(OSError, match="disk full"):
-            run_pipeline(cohort_dir, PipelineConfig(**FAST), out)
+        assert main(report_argv(cohort_dir, out)) == 2
+        assert capsys.readouterr().err == "error: disk full\n"
         assert tree_bytes(out / "rolling") == before
         assert sorted(p.name for p in out.iterdir()) == self.REPORT
 
@@ -769,6 +600,21 @@ class TestStatsOnDegenerateInput:
         assert self.stats(cohort, tmp_path / "out")["t_tests"] == {
             metric: {"skipped": reason}
             for metric in ("amplitude", "phase", "cosine")}
+
+    def test_one_patient_skips_t_tests(self, tmp_path):
+        m = write_cohort(tmp_path / "small", n_healthy=3, n_patients=1, seed=1)
+        reason = "need >= 2 trials per group"
+        assert self.stats(m, tmp_path / "out")["t_tests"] == {
+            metric: {"skipped": reason}
+            for metric in ("amplitude", "phase", "cosine")}
+
+    def test_no_patients_leave_matrix_summary_empty(self, tmp_path):
+        m = write_cohort(tmp_path / "healthy", n_healthy=3, n_patients=0,
+                         seed=1)
+        out = tmp_path / "out"
+        assert main(report_argv(m, out)) == 0
+        assert read_stats(out)["matrix_summary"] == {"pre": None,
+                                                     "post": None}
 
     @pytest.mark.parametrize("scale, sxx", [(1e-320, "0"), (1e300, "inf")])
     def test_dynamometry_out_of_float_range_skips_its_fits(

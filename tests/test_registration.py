@@ -269,23 +269,6 @@ class TestDpMatchesReference:
         assert_same_path(got, reference_lattice_path(q, q, n, 7))
 
 
-class TestLatticePlan:
-    @pytest.mark.parametrize("n, max_slope", [(3, 7), (31, 3), (101, 7)])
-    def test_cached_arrays_are_read_only(self, n, max_slope):
-        plan = _lattice_plan(n, max_slope)
-        assert _lattice_plan(n, max_slope) is plan
-        for arr in (plan.positions, plan.scales):
-            with pytest.raises(ValueError):
-                arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
-
-    def test_alternating_grids_match_reference(self):
-        rng = np.random.default_rng(24)
-        for n, max_slope in [(31, 3), (101, 7), (31, 3)]:
-            q1, q2 = rng.normal(size=n), rng.normal(size=n)
-            assert_same_path(solve(q1, q2, max_slope),
-                             reference_lattice_path(q1, q2, n, max_slope))
-
-
 class TestSrvfTransform:
     def test_linear_signal(self, grid101):
         q = to_srvf(Trajectory(grid101, grid101.points))
