@@ -10,7 +10,7 @@ any statistics library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations
 from math import exp, isfinite, lgamma, log, log1p, sqrt
 
 import numpy as np
@@ -258,7 +258,9 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
     With `registered`, entry (i, j) aligns curve j onto curve i as
     `align_pairwise` does, so each registered metric rejects a curve
     whose L2 norm is below MIN_SIGNAL_NORM. The slightly asymmetric result
-    is symmetrized as (D + D^T)/2. The phase metric only exists for
+    is symmetrized as (D + D^T)/2. Unregistered metrics are exactly
+    symmetric, so each unordered pair is evaluated once and (D + D^T)/2
+    leaves them bit for bit. The phase metric only exists for
     registered pairs. Rows and columns are named by `labels`, or "0".."m-1"
     when none are given.
     """
@@ -279,11 +281,11 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
         d[~np.eye(m, dtype=bool)] = [getattr(t, metric) for t in triples]
     elif metric == "amplitude":
         qs = [to_srvf(c).q for c in curves]
-        for i, j in permutations(range(m), 2):
-            d[i, j] = l2_norm(qs[i] - qs[j], grid)
+        for i, j in combinations(range(m), 2):
+            d[i, j] = d[j, i] = l2_norm(qs[i] - qs[j], grid)
     else:
-        for i, j in permutations(range(m), 2):
-            d[i, j] = cosine_distance(curves[i], curves[j])
+        for i, j in combinations(range(m), 2):
+            d[i, j] = d[j, i] = cosine_distance(curves[i], curves[j])
     d = 0.5 * (d + d.T)
     d[d < 0] = 0.0  # cosine can round to -1e-17 on near-identical pairs
     return DistanceMatrix(labels, d)

@@ -132,7 +132,10 @@ def main(argv=None) -> int:
             text = handler(run, into, out)
         print(text)
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename and exc.strerror:
+            message = f"{exc.filename}: {exc.strerror}"  # not "[Errno 17] ..."
+        print(f"error: {message}", file=sys.stderr)
         return 2
     return 0
 

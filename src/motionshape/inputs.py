@@ -9,7 +9,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import re
+import stat
 import warnings
 from collections import Counter
 from collections.abc import Iterable, Iterator
@@ -55,13 +57,18 @@ _MAX_NAME_BYTES = 255
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _open_text(path: Path) -> tuple[str, io.TextIOWrapper]:
-    """A file's text, whole and as a stream of lines, decoded as `open`
-    decodes it; line breaks are kept as written.
-
-    Bytes the codec refuses raise ManifestError naming the file and line.
-    """
-    raw = path.read_bytes()
+def _open_text(path: Path) -> tuple[os.stat_result, str, io.TextIOWrapper]:
+    """A regular file's status, taken before it is read, and its text, whole
+    and as a stream of lines, decoded as `open` decodes it, line breaks kept.
+    Any other path, or one that cannot be read, raises ManifestError naming
+    it; bytes the codec refuses raise it naming the file and line."""
+    try:
+        status = path.stat()
+        if not stat.S_ISREG(status.st_mode):
+            raise ManifestError(f"{path}: not a regular file")
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise ManifestError(f"{path}: {exc.strerror or exc}") from exc
     stream = io.TextIOWrapper(io.BytesIO(raw), newline="")
     try:
         text = raw.decode(stream.encoding)
@@ -69,7 +76,7 @@ def _open_text(path: Path) -> tuple[str, io.TextIOWrapper]:
         before = raw[:exc.start].decode(stream.encoding)
         line = 1 + len(re.findall(r"\r\n|\r|\n", before))
         raise ManifestError(f"{path}:{line}: {exc}") from exc
-    return text, stream
+    return status, text, stream
 
 
 def _csv_rows(path: Path,
@@ -162,7 +169,7 @@ class PipelineConfig:
         types = {f.name: type(f.default) for f in fields(cls)}
         raw: dict = {}
         line_of: dict = {}
-        _, lines = _open_text(path)
+        _, _, lines = _open_text(path)
         for lineno, line in enumerate(lines, start=1):
             line = line.rstrip("\r\n")
             stripped = line.split("#", 1)[0].strip()
@@ -197,10 +204,8 @@ class PipelineConfig:
 def load_manifest(path: Path | str) -> list[ManifestEntry]:
     """Parse the cohort manifest CSV; paths resolve relative to it."""
     path = Path(path)
-    if not path.is_file():
-        raise ManifestError(f"manifest not found: {path}")
     entries, rownos = [], []
-    _, stream = _open_text(path)
+    _, _, stream = _open_text(path)
     rows = _csv_rows(path, stream)
     _, header = next(rows, (0, []))
     required = {"participant_id", "cohort", "trial_path"}
@@ -297,13 +302,7 @@ def read_trial(path: Path, channel: str) -> RawRecording:
     gives the same values or names the bad line. A file that cannot be
     read raises ManifestError naming it.
     """
-    if not path.is_file():
-        raise ManifestError(f"trial file not found: {path}")
-    try:
-        before = path.stat()
-        text, lines = _open_text(path)
-    except OSError as exc:
-        raise ManifestError(f"{path}: {exc.strerror or exc}") from exc
+    before, text, lines = _open_text(path)
     rows = _csv_rows(path, lines)
     _, header = next(rows, (0, []))
     for name, what in (("time_s", "required column"),

@@ -79,13 +79,37 @@ def _claim(out: Path):
 
 
 @contextmanager
+def _made(out: Path):
+    """Create `out` and its missing parents; when the block raises, remove
+    the ones made, deepest first, up to the first that is not empty."""
+    made, missing = [], out
+    while not os.path.lexists(missing):
+        made.append(missing)
+        missing = missing.parent
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield
+    except BaseException:
+        for path in made:
+            try:
+                path.rmdir()
+            except OSError:
+                if os.path.lexists(path):  # not empty
+                    break
+                # else mkdir failed before making it, say for a long name
+        raise
+
+
+@contextmanager
 def publish(out: Path):
     """Yield an empty staging directory to write a run's files into; when
     the block ends without an exception, each top-level file or directory
     there replaces its namesake in `out`, whole: all namesakes are moved
     aside into the staging, then all new entries in.
 
-    `out` is created if needed. While the block runs, `out` is locked
+    `out` is created if needed, and a run that raises removes what it
+    created, once the staging and the lock are gone, up to the first
+    directory that is not empty. While the block runs, `out` is locked
     (`flock` on the directory), so a second run into it fails at once with
     an OSError, and every `.staging-*` directory left in `out` by a killed
     run is removed first; where `fcntl` does not exist there is no lock and
@@ -93,8 +117,8 @@ def publish(out: Path):
     was, and a kill leaves no entry missing once that clean-up has run. The
     staging directory is removed either way, unless the process is killed.
     """
-    out.mkdir(parents=True, exist_ok=True)
-    with _claim(out) if fcntl is not None else nullcontext(), \
+    with _made(out), \
+            _claim(out) if fcntl is not None else nullcontext(), \
             tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
         new, old = Path(staging, "new"), Path(staging, "old")
         new.mkdir()

@@ -18,6 +18,9 @@ from motionshape.core import (
     l2_norm,
 )
 from motionshape.analytics import (
+    DistanceMatrix,
+    RegressionResult,
+    TTestResult,
     linear_regression,
     pairwise_matrix,
     rolling_correlation,
@@ -153,6 +156,16 @@ class TestWelch:
         with pytest.raises(InsufficientDataError):
             welch_t_test([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("dof", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_dof_rejected(self, dof):
+        with pytest.raises(ParameterError,
+                           match=f"positive and finite, got {dof}$"):
+            t_two_sided_pvalue(1.0, dof)
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf])
+    def test_infinite_t_has_p_zero(self, t):
+        assert t_two_sided_pvalue(t, 3.0) == 0.0
+
     def test_huge_t_no_overflow_warning(self):
         # |t| ~ 2e170, so t * t overflows a double
         with warnings.catch_warnings():
@@ -231,6 +244,10 @@ class TestLinearRegression:
         with pytest.raises(InsufficientDataError):
             linear_regression([1.0, 2.0], [1.0, 2.0])
 
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionError, match="length mismatch: 3 vs 4"):
+            linear_regression([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+
     @pytest.mark.parametrize("x, y, reason", [
         # Sxx underflows to 0 although x is not constant
         ([1e-320, 2e-320, 3e-320, 4e-320], [0.1, 0.5, 0.2, 0.3],
@@ -255,6 +272,40 @@ class TestLinearRegression:
             resid = y - (res.slope * x + res.intercept)
             scale = max(1.0, float(np.abs(x @ y)))
             assert abs(float(resid @ (x - x.mean()))) <= 1e-9 * scale
+
+
+class TestResultRecords:
+    """The result records refuse values that no computation should give."""
+
+    @pytest.mark.parametrize("values, error, match", [
+        (np.zeros((3, 3)), DimensionError, r"expected 2x2 matrix, got \(3, 3\)"),
+        ([[1.0, 0.0], [0.0, 0.0]], DegenerateInputError, "diagonal is not zero"),
+        ([[0.0, 1.0], [2.0, 0.0]], DegenerateInputError, "not symmetric"),
+        ([[0.0, -1.0], [-1.0, 0.0]], DegenerateInputError, "negative entries"),
+    ], ids=["shape", "diagonal", "asymmetric", "negative"])
+    def test_distance_matrix_rejects(self, values, error, match):
+        with pytest.raises(error, match=match):
+            DistanceMatrix(["a", "b"], np.asarray(values))
+
+    @pytest.mark.parametrize("p, dof, match", [
+        (1.5, 3.0, r"p-value 1.5 outside \[0, 1\]"),
+        (-0.1, 3.0, r"p-value -0.1 outside \[0, 1\]"),
+        (0.5, 0.0, "dof must be positive, got 0.0"),
+        (0.5, -2.0, "dof must be positive, got -2.0"),
+    ])
+    def test_t_test_result_rejects(self, p, dof, match):
+        with pytest.raises(DegenerateInputError, match=match):
+            TTestResult(1.0, p, dof)
+
+    @pytest.mark.parametrize("r, p, match", [
+        (1.5, 0.5, r"\|r\| > 1: 1.5"),
+        (-1.5, 0.5, r"\|r\| > 1: -1.5"),
+        (0.5, 1.5, r"p-value 1.5 outside \[0, 1\]"),
+        (0.5, -0.1, r"p-value -0.1 outside \[0, 1\]"),
+    ])
+    def test_regression_result_rejects(self, r, p, match):
+        with pytest.raises(DegenerateInputError, match=match):
+            RegressionResult(1.0, 0.0, r, p)
 
 
 class TestRollingCorrelation:

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from motionshape.core import (
     DegenerateInputError,
     DimensionError,
+    DistanceTriple,
     InsufficientDataError,
     ParameterError,
     SrvfCurve,
@@ -47,6 +48,21 @@ class TestTimeGrid:
     def test_too_small_rejected(self):
         with pytest.raises(ParameterError):
             TimeGrid(2)
+
+
+class TestDistanceTriple:
+    @pytest.mark.parametrize("triple, match", [
+        ((np.nan, 0.1, 0.1), "amplitude distance is not finite"),
+        ((0.1, np.inf, 0.1), "phase distance is not finite"),
+        ((0.1, 0.1, -np.inf), "cosine distance is not finite"),
+        ((-0.1, 0.1, 0.1), "amplitude distance is negative"),
+        ((0.1, 2.0, 0.1), r"phase distance 2.0 outside \[0, pi/2\]"),
+        ((0.1, 0.1, 2.5), r"cosine distance 2.5 outside \[0, 2\]"),
+    ], ids=["nan", "inf", "-inf", "negative amplitude", "phase above pi/2",
+            "cosine above 2"])
+    def test_out_of_range_rejected(self, triple, match):
+        with pytest.raises(DegenerateInputError, match=match):
+            DistanceTriple(*triple)
 
 
 class TestCommonGrid:

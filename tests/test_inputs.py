@@ -6,6 +6,7 @@ import csv
 import math
 import os
 import re
+import subprocess
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -20,7 +21,7 @@ from motionshape.inputs import ManifestError, PipelineConfig, load_manifest
 from motionshape.pipeline import IngestResult, ingest
 from motionshape.preprocess import RawRecording
 
-from conftest import extend_manifest, trial_row, write_manifest
+from conftest import extend_manifest, python, trial_row, write_manifest
 
 
 # a valid, non-default value for every PipelineConfig field
@@ -567,3 +568,65 @@ class TestTrialReaders:
         (tmp_path / "a.csv").write_text("time_s,gyro\n" + "\n".join(rows))
         rec = inputs.read_trial(tmp_path / "a.csv", "gyro")
         assert rec.samples[4] == 1.5
+
+
+# runs `cli.main` on its arguments and exits with its return code
+RUN_MAIN = """
+import sys
+from motionshape.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestInputPaths:
+    """Every input file, the manifest, the config and each trial, is opened
+    one way: a path that is missing or is no regular file exits 2 naming
+    it, and a FIFO is refused without being opened."""
+
+    @staticmethod
+    def argv(role, manifest, bad):
+        if role == "manifest":
+            return ["ingest-check", "--manifest", str(bad)]
+        if role == "config":
+            return ["ingest-check", "--manifest", str(manifest),
+                    "--config", str(bad)]
+        manifest = extend_manifest(manifest, "with_bad.csv",
+                                   [trial_row("PB", str(bad))])
+        return ["ingest-check", "--manifest", str(manifest)]
+
+    @pytest.mark.parametrize("kind, reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "not a regular file"),
+        pytest.param("fifo", "not a regular file", marks=pytest.mark.skipif(
+            not hasattr(os, "mkfifo"), reason="needs os.mkfifo")),
+    ])
+    @pytest.mark.parametrize("role", ["manifest", "config", "trial"])
+    def test_bad_path_exits_2_naming_it(self, cohort_dir, tmp_path, capsys,
+                                        role, kind, reason):
+        bad = tmp_path / "bad.csv"
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "fifo":
+            os.mkfifo(bad)
+        argv = self.argv(role, cohort_dir, bad)
+        if kind == "fifo":  # opening it would wait for a writer forever
+            with python(RUN_MAIN, *argv, stderr=subprocess.PIPE) as run:
+                try:
+                    _, err = run.communicate(timeout=60)
+                finally:
+                    run.kill()
+            rc = run.returncode
+        else:
+            rc, err = main(argv), capsys.readouterr().err
+        named = bad.resolve() if role == "trial" else bad
+        assert (rc, err) == (2, f"error: {named}: {reason}\n")
+
+    def test_directory_trial_skipped_with_its_reason(self, cohort_dir,
+                                                     tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.mkdir()
+        argv = self.argv("trial", cohort_dir, bad)
+        assert main([*argv, "--skip-bad"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert f"skipped PB: {bad.resolve()}: not a regular file" in out
+        assert out[-1] == "5 trial(s) ok, 1 skipped"

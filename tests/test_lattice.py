@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from motionshape import lattice
-from motionshape.core import DimensionError, SrvfCurve, TimeGrid
+from motionshape.core import (DegenerateInputError, DimensionError, SrvfCurve,
+                              TimeGrid)
 from motionshape.lattice import _lattice_plan, solve
 from motionshape.registration import optimal_warping
 
@@ -40,6 +41,12 @@ class TestSolve:
         with pytest.raises(DimensionError,
                            match=f"at least 2 samples, got {n}$"):
             solve(np.zeros(n), np.zeros(n), 7)
+
+    def test_slope_below_one_rejected(self):
+        q = np.zeros(5)
+        with pytest.raises(DegenerateInputError,
+                           match="max_slope must be >= 1, got 0$"):
+            solve(q, q, 0)
 
 
 class TestLatticePlan:

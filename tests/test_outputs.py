@@ -162,10 +162,30 @@ class TestPublish:
         monkeypatch.setattr(pipeline, "ingest", ingest)
         out = tmp_path / "out"
         out.write_text("not a directory")
-        rc = main(["report", "--manifest", str(cohort_dir), "--out", str(out)])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        for target, reason in ((out, "File exists"),
+                               (out / "sub", "Not a directory")):
+            rc = main(["report", "--manifest", str(cohort_dir),
+                       "--out", str(target)])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: {target}: {reason}\n"
         assert out.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("below", ["a/b", "x" * 300],
+                             ids=["nested", "name too long"])
+    def test_failed_run_removes_the_out_it_created(self, tmp_path, capsys,
+                                                   below):
+        missing = tmp_path / "missing.csv"
+        out = tmp_path / "new" / below
+        argv = ["report", "--manifest", str(missing), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {missing}: No such file or directory\n" if below == "a/b"
+            else f"error: {out}: File name too long\n")
+        assert not (tmp_path / "new").exists()
+        # a directory that was there before the run stays
+        (tmp_path / "new").mkdir()
+        assert main(argv) == 2
+        assert entries(tmp_path / "new") == []
 
 
 # holds `publish(argv[1])` open until a line arrives on stdin
@@ -277,6 +297,7 @@ class TestOneRunPerOut:
 
         two_cpus()
         out = tmp_path / "out"
+        out.mkdir()  # made before the run, so the failed run keeps it
         with monkeypatch.context() as patch:
             patch.setattr(lattice, "solve", die_in_worker)
             assert main(self.argv("mean", cohort_dir, out)) == 2

@@ -33,6 +33,11 @@ class TestRawRecording:
         with pytest.raises(InsufficientDataError):
             RawRecording(np.array([0.0, 1.0, np.inf]), np.zeros(3))
 
+    def test_length_mismatch(self):
+        with pytest.raises(InsufficientDataError,
+                           match=r"equal-length .* got \(3,\) and \(2,\)"):
+            RawRecording(np.arange(3.0), np.zeros(2))
+
 
 class TestResample:
     def test_uniform_identity(self):
@@ -112,6 +117,13 @@ class TestButterworth:
     def test_bad_order(self, wavy101):
         with pytest.raises(ParameterError):
             butterworth_lowpass(wavy101, 0, 0.1)
+
+    def test_signal_no_longer_than_padding(self):
+        n = PADLEN_PER_ORDER * 3
+        short = Trajectory(TimeGrid(n), np.sin(np.arange(n)))
+        with pytest.raises(ParameterError,
+                           match=f"too short to filter: n={n} <= padlen={n}"):
+            butterworth_lowpass(short, 3, 0.1)
 
     def test_filter_resample_commute(self):
         # band-limited input: filtering before or after downsampling agrees
