@@ -56,43 +56,40 @@ def _config(args: argparse.Namespace) -> PipelineConfig:
 # Each handler gets the chain's record after its subcommand's last stage and
 # writes its files into `into`, staged for `out`; it returns what to print.
 
-def _ingest_check(run: pl.Run, into, out) -> str:
-    ingested = run.ingested
+def _ingest_check(run: pl.CohortReport, into, out) -> str:
     lines = [f"ok      {it.label}  ({it.entry.cohort}, n={it.trajectory.grid.n})"
-             for it in ingested.items]
-    lines += [f"skipped {label}: {reason}" for label, reason in ingested.skipped]
-    lines.append(f"{len(ingested.items)} trial(s) ok, "
-                 f"{len(ingested.skipped)} skipped")
+             for it in run.items]
+    lines += [f"skipped {label}: {reason}" for label, reason in run.skipped]
+    lines.append(f"{len(run.items)} trial(s) ok, {len(run.skipped)} skipped")
     return "\n".join(lines)
 
 
-def _mean(run: pl.Run, into: Path, out: Path) -> str:
-    write_mean_csv(into / "mean_healthy.csv", run.separation.mean)
+def _mean(run: pl.CohortReport, into: Path, out: Path) -> str:
+    write_mean_csv(into / "mean_healthy.csv", run.mean)
     return (f"elastic mean written; iterations={run.separation.iterations} "
             f"converged={run.separation.converged}")
 
 
-def _align(run: pl.Run, into: Path, out: Path) -> str:
-    write_alignment_csvs(into, [it.label for it in run.ingested.items],
-                         run.alignment)
-    write_mean_csv(into / "mean_healthy.csv", run.separation.mean)
-    return f"aligned {len(run.ingested.items)} trial(s) to the healthy mean"
+def _align(run: pl.CohortReport, into: Path, out: Path) -> str:
+    write_alignment_csvs(into, [it.label for it in run.items], run.alignment)
+    write_mean_csv(into / "mean_healthy.csv", run.mean)
+    return f"aligned {len(run.items)} trial(s) to the healthy mean"
 
 
-def _distances(run: pl.Run, into: Path, out: Path) -> str:
+def _distances(run: pl.CohortReport, into: Path, out: Path) -> str:
     write_distances_csv(into / "distances.csv", run.scores)
     return f"wrote {len(run.scores)} distance triple(s)"
 
 
-def _stats(run: pl.Run, into: Path, out: Path) -> str:
-    write_stats_json(into / "stats.json", run.report)
+def _stats(run: pl.CohortReport, into: Path, out: Path) -> str:
+    write_stats_json(into / "stats.json", run)
     return "wrote stats.json"
 
 
-def _report(run: pl.Run, into: Path, out: Path) -> str:
-    pl.write_report(into, run.report)
-    return (f"report complete: {len(run.report.scores)} trial(s), "
-            f"{len(run.report.skipped)} skipped, outputs in {out}")
+def _report(run: pl.CohortReport, into: Path, out: Path) -> str:
+    pl.write_report(into, run)
+    return (f"report complete: {len(run.scores)} trial(s), "
+            f"{len(run.skipped)} skipped, outputs in {out}")
 
 
 # subcommand -> (last stage of pipeline.stages it runs, handler)

@@ -47,7 +47,6 @@ __all__ = [
     "IngestResult",
     "IngestedTrial",
     "CohortReport",
-    "Run",
     "stages",
     "write_report",
 ]
@@ -158,15 +157,19 @@ class ParticipantScore:
 
 @dataclass(frozen=True)
 class CohortReport:
-    """Scores and cohort statistics; the "stats" stage leaves the matrix
-    and rolling fields at their defaults."""
+    """What the stage chain has made so far. Each field keeps its default
+    until the stage that makes it runs, so the "stats" record's
+    `summary_dict` shows the matrix and rolling defaults. `mean` is
+    `separation.mean`."""
 
-    scores: list[ParticipantScore]
-    t_tests: dict
-    regressions: dict
-    mean: Trajectory
-    separation: RegistrationResult
-    skipped: list[tuple[str, str]]
+    items: list[IngestedTrial] | None = None
+    skipped: list[tuple[str, str]] | None = None
+    separation: RegistrationResult | None = None
+    mean: Trajectory | None = None
+    alignment: Alignment | None = None
+    scores: list[ParticipantScore] | None = None
+    t_tests: dict | None = None
+    regressions: dict | None = None
     matrix_pre: DistanceMatrix | None = None
     matrix_post: DistanceMatrix | None = None
     matrix_summary: dict = field(
@@ -290,68 +293,55 @@ def block_summary(matrix: DistanceMatrix, cohorts: list[str]) -> dict | None:
     }
 
 
-@dataclass(frozen=True)
-class Run:
-    """What the stage chain has made so far; later stages' fields are None."""
-
-    ingested: IngestResult
-    separation: RegistrationResult | None = None
-    alignment: Alignment | None = None
-    scores: list[ParticipantScore] | None = None
-    report: CohortReport | None = None
-
-
 def stages(manifest_path: Path | str, config: PipelineConfig,
            skip_bad: bool = False):
     """The analysis chain, one stage at a time.
 
-    Yields (name, run) after each of "ingest", "mean", "score", "stats" and
-    "report", where `run` holds what the chain has made so far. A caller
-    that stops iterating never runs the later stages.
+    Yields (name, run) after each of "ingest", "mean", "score", "stats",
+    "matrix_pre", "matrix_post" and "report", where `run` is the
+    `CohortReport` of what the chain has made so far. A caller that stops
+    iterating never runs the later stages.
     """
     ingested = ingest(manifest_path, config, skip_bad=skip_bad)
-    yield "ingest", Run(ingested)
+    run = CohortReport(items=ingested.items, skipped=ingested.skipped)
+    yield "ingest", run
     items = ingested.items
     if not items:
         raise InsufficientDataError("every trial was skipped; nothing to analyze")
 
     separation = build_healthy_mean(items, config)
-    mean = separation.mean
-    yield "mean", Run(ingested, separation)
+    run = replace(run, separation=separation, mean=separation.mean)
+    yield "mean", run
 
-    scores, alignment = score_against_mean(items, mean, config)
-    run = Run(ingested, separation, alignment, scores)
+    scores, alignment = score_against_mean(items, run.mean, config)
+    run = replace(run, alignment=alignment, scores=scores)
     yield "score", run
 
-    report = CohortReport(
-        scores=scores,
-        t_tests=cohort_t_tests(scores),
-        regressions=cohort_regressions(scores),
-        mean=mean,
-        separation=separation,
-        skipped=ingested.skipped,
-    )
-    yield "stats", replace(run, report=report)
+    run = replace(run, t_tests=cohort_t_tests(scores),
+                  regressions=cohort_regressions(scores))
+    yield "stats", run
 
     curves = [it.trajectory for it in items]
     labels = [it.label for it in items]
+    run = replace(run, matrix_pre=pairwise_matrix(
+        curves, "cosine", registered=False, labels=labels))
+    yield "matrix_pre", run
+
+    run = replace(run, matrix_post=pairwise_matrix(
+        curves, "cosine", registered=True, max_slope=config.dp_max_slope,
+        labels=labels))
+    yield "matrix_post", run
+
     cohorts = [it.entry.cohort for it in items]
-    matrix_pre = pairwise_matrix(curves, "cosine", registered=False,
-                                 labels=labels)
-    matrix_post = pairwise_matrix(curves, "cosine", registered=True,
-                                  max_slope=config.dp_max_slope, labels=labels)
     window = max(3, int(round(config.rolling_window_frac * config.grid_n)))
-    report = replace(
-        report,
-        matrix_pre=matrix_pre,
-        matrix_post=matrix_post,
-        matrix_summary={"pre": block_summary(matrix_pre, cohorts),
-                        "post": block_summary(matrix_post, cohorts)},
-        rolling={it.label: rolling_correlation(aligned, mean, window)
+    yield "report", replace(
+        run,
+        matrix_summary={"pre": block_summary(run.matrix_pre, cohorts),
+                        "post": block_summary(run.matrix_post, cohorts)},
+        rolling={it.label: rolling_correlation(aligned, run.mean, window)
                  for it, aligned in zip(items, alignment.aligned)},
         rolling_window=window,
     )
-    yield "report", replace(run, report=report)
 
 
 def write_report(out_dir: Path | str, report: CohortReport) -> None:

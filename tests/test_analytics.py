@@ -481,3 +481,22 @@ class TestOneSolvePerPair:
         names = [name for name, _ in stages(m, PipelineConfig(grid_n=31))]
         assert names[-1] == "report"
         assert len(solves) == sum(through_seam) > 0
+
+    def test_one_yield_per_measured_layer(self, solves, tmp_path):
+        # no worker_pool block, so every solve runs here and is counted
+        m = write_cohort(tmp_path, n_healthy=3, n_patients=2, seed=5,
+                         rate_hz=50.0, duration_s=2.0)
+        names, runs, solved = [], {}, {}
+        for name, run in stages(m, PipelineConfig(grid_n=31)):
+            names.append(name)
+            runs[name] = run
+            solved[name] = len(solves)
+        assert names == ["ingest", "mean", "score", "stats", "matrix_pre",
+                         "matrix_post", "report"]
+        assert runs["matrix_pre"].matrix_pre is not None
+        assert runs["matrix_pre"].matrix_post is None
+        assert solved["matrix_pre"] - solved["stats"] == 0
+        trials = len(runs["ingest"].items)
+        assert solved["matrix_post"] - solved["matrix_pre"] == \
+            trials * (trials - 1)
+        assert solved["report"] == solved["matrix_post"]

@@ -8,6 +8,9 @@ imported (`from . import x` ... `x._name`).
 
 Every `module.name` the README's prose names in backticks, for one of the
 package's modules, and every name a README `python` block imports, exists.
+
+Every Python file of the repository parses as the oldest Python that
+pyproject.toml's `requires-python` admits.
 """
 
 import ast
@@ -140,3 +143,13 @@ def test_readme_imports_exist():
         if name is not None and not hasattr(found, name):
             missing.append(f"{module}.{name}")
     assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for top in ("src", "tests", "bench", "scripts")
+    for p in (PACKAGE.parents[1] / top).rglob("*.py")),
+    ids=lambda p: p.relative_to(PACKAGE.parents[1]).as_posix())
+def test_parses_as_python_3_10(path):
+    """`requires-python = ">=3.10"`, checked for the grammar only: a 3.11
+    stdlib name such as `tomllib` still parses, and fails only on 3.10."""
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

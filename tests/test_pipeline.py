@@ -19,12 +19,12 @@ from motionshape import inputs, lattice, pipeline
 from motionshape.cli import main
 from motionshape.analytics import pairwise_matrix
 from motionshape.inputs import ManifestError, PipelineConfig
-from motionshape.pipeline import ingest, stages
+from motionshape.pipeline import CohortReport, ingest, stages, write_report
 from motionshape.registration import align_pairwise
 from motionshape.synthetic import write_cohort
 
-from conftest import (FAST, extend_manifest, trial_row, tree_bytes, two_cpus,
-                      write_manifest)
+from conftest import (FAST, extend_manifest, python, trial_row, tree_bytes,
+                      two_cpus, write_manifest)
 
 
 def write_trial(path, rows, header=("time_s", "gyro")):
@@ -433,6 +433,23 @@ class TestDpWorkers:
         assert multiprocessing.active_children() == []
 
 
+# a pooled `report` run that prints, as its last line, the OS thread count
+# of this process right after each fork, read as Python 3.12 reads it
+# before it warns that forking a threaded process may deadlock the child
+FORK_THREADS = """
+import json, os, sys
+threads = []
+def count():
+    with open("/proc/self/stat") as fh:
+        threads.append(int(fh.read().rsplit(")", 1)[1].split()[17]))
+os.register_at_fork(after_in_parent=count)
+from motionshape.cli import main
+rc = main(["report", "--manifest", sys.argv[1], "--out", sys.argv[2],
+           "--grid-n", "31"])
+print(json.dumps([rc, threads]))
+"""
+
+
 class TestRunPool:
     """One fork pool per run, and no worker left once the run returns."""
 
@@ -443,6 +460,19 @@ class TestRunPool:
         assert main(argv) == 0
         assert len(pools) == 1 and len(pools[0].maps) >= 4
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+    def test_one_thread_at_each_fork(self, cohort_dir, tmp_path):
+        # field 20 of /proc/self/stat is the thread count
+        two_cpus()
+        with python(FORK_THREADS, cohort_dir, tmp_path / "out") as run:
+            try:
+                out, _ = run.communicate(timeout=120)
+            finally:
+                run.kill()
+        rc, threads = json.loads(out.splitlines()[-1])
+        assert rc == 0
+        assert threads and set(threads) == {1}
 
     def test_failing_stage_stops_the_pool(self, cohort_dir, tmp_path, pools,
                                           capsys):
@@ -481,7 +511,7 @@ class TestRunPipeline:
         out = tmp_path / "out"
         assert main(report_argv(cohort_dir, out)) == 0
         _, run = list(stages(cohort_dir, PipelineConfig(**FAST)))[-1]
-        report = run.report
+        report = run
         for name in ("distances.csv", "matrix_pre.csv", "matrix_post.csv",
                      "stats.json", "mean_healthy.csv"):
             assert (out / name).is_file()
@@ -509,6 +539,23 @@ class TestRunPipeline:
         assert stats["skipped_trials"] == 1
         assert stats["skipped"][0]["label"] == "PX"
         assert len(stats["distances"]) == 5
+
+    def test_report_rebuilt_by_keyword(self, cohort_dir, tmp_path):
+        # the benchmark's traced run builds its report this way, without
+        # `items` or `alignment`; it must write the same tree
+        _, run = list(stages(cohort_dir, PipelineConfig(**FAST)))[-1]
+        rebuilt = CohortReport(
+            scores=run.scores, t_tests=run.t_tests,
+            regressions=run.regressions, matrix_pre=run.matrix_pre,
+            matrix_post=run.matrix_post, matrix_summary=run.matrix_summary,
+            mean=run.mean, separation=run.separation, rolling=run.rolling,
+            rolling_window=run.rolling_window, skipped=run.skipped)
+        assert rebuilt.summary_dict() == run.summary_dict()
+        for name, report in (("staged", run), ("rebuilt", rebuilt)):
+            (tmp_path / name).mkdir()
+            write_report(tmp_path / name, report)
+        assert tree_bytes(tmp_path / "rebuilt") == \
+            tree_bytes(tmp_path / "staged")
 
 
 def rolling_names(out):
