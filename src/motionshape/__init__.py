@@ -46,6 +46,6 @@ from .analytics import (
     welch_t_test,
 )
 from .inputs import ManifestEntry, ManifestError, PipelineConfig, load_manifest
-from .pipeline import CohortReport, IngestResult, ingest
+from .pipeline import CohortReport, ingest
 
 __version__ = "0.1.0"

@@ -55,6 +55,8 @@ MAX_QUOTED_CHARS = 40
 _MAX_NAME_BYTES = 255
 # numpy's loadtxt decompresses a file named with one of these suffixes
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+# the longest float64 grid numpy can hold: an array's size in bytes is an intp
+_MAX_GRID_N = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 def _open_text(path: Path) -> tuple[os.stat_result, str, io.TextIOWrapper]:
@@ -124,7 +126,8 @@ class ManifestEntry:
 
 # PipelineConfig field -> (valid value?, what a valid value is), in field order
 _CONFIG_RULES = {
-    "grid_n": (lambda v: v >= 3, "integer >= 3"),
+    "grid_n": (lambda v: 3 <= v <= _MAX_GRID_N,
+               f"integer in [3, {_MAX_GRID_N}]"),
     "filter_order": (lambda v: v >= 1, "integer >= 1"),
     "cutoff_ratio": (lambda v: 0.0 < v < 1.0, "real in (0, 1)"),
     "channel": (bool, "non-empty column name"),

@@ -44,7 +44,6 @@ from .registration import (
 
 __all__ = [
     "ingest",
-    "IngestResult",
     "IngestedTrial",
     "CohortReport",
     "stages",
@@ -61,16 +60,6 @@ class IngestedTrial:
     entry: ManifestEntry
     label: str
     trajectory: Trajectory
-
-
-@dataclass(frozen=True)
-class IngestResult:
-    items: list[IngestedTrial]
-    skipped: list[tuple[str, str]]  # (label, reason)
-
-    @property
-    def trajectories(self) -> list[Trajectory]:
-        return [it.trajectory for it in self.items]
 
 
 def _ingest_trial(entry: ManifestEntry,
@@ -112,7 +101,7 @@ def _ingest_trial(entry: ManifestEntry,
 
 
 def ingest(manifest_path: Path | str, config: PipelineConfig,
-           skip_bad: bool = False) -> IngestResult:
+           skip_bad: bool = False) -> CohortReport:
     """Load, resample, and smooth every trial named by the manifest.
 
     A bad trial aborts the run with file/row context unless `skip_bad`,
@@ -139,7 +128,7 @@ def ingest(manifest_path: Path | str, config: PipelineConfig,
             skipped.append((label, str(traj)))
         else:
             items.append(IngestedTrial(e, label, traj))
-    return IngestResult(items, skipped)
+    return CohortReport(items=items, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +149,10 @@ class CohortReport:
     """What the stage chain has made so far. Each field keeps its default
     until the stage that makes it runs, so the "stats" record's
     `summary_dict` shows the matrix and rolling defaults. `mean` is
-    `separation.mean`."""
+    `separation.mean`. `ingest` makes the first record."""
 
     items: list[IngestedTrial] | None = None
-    skipped: list[tuple[str, str]] | None = None
+    skipped: list[tuple[str, str]] | None = None  # (label, reason)
     separation: RegistrationResult | None = None
     mean: Trajectory | None = None
     alignment: Alignment | None = None
@@ -176,6 +165,10 @@ class CohortReport:
         default_factory=lambda: {"pre": None, "post": None})
     rolling: dict[str, np.ndarray] = field(default_factory=dict)
     rolling_window: int = 0
+
+    @property
+    def trajectories(self) -> list[Trajectory]:
+        return [it.trajectory for it in self.items]
 
     def summary_dict(self) -> dict:
         return {
@@ -302,10 +295,9 @@ def stages(manifest_path: Path | str, config: PipelineConfig,
     `CohortReport` of what the chain has made so far. A caller that stops
     iterating never runs the later stages.
     """
-    ingested = ingest(manifest_path, config, skip_bad=skip_bad)
-    run = CohortReport(items=ingested.items, skipped=ingested.skipped)
+    run = ingest(manifest_path, config, skip_bad=skip_bad)
     yield "ingest", run
-    items = ingested.items
+    items = run.items
     if not items:
         raise InsufficientDataError("every trial was skipped; nothing to analyze")
 
@@ -321,7 +313,7 @@ def stages(manifest_path: Path | str, config: PipelineConfig,
                   regressions=cohort_regressions(scores))
     yield "stats", run
 
-    curves = [it.trajectory for it in items]
+    curves = run.trajectories
     labels = [it.label for it in items]
     run = replace(run, matrix_pre=pairwise_matrix(
         curves, "cosine", registered=False, labels=labels))

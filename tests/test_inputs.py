@@ -3,6 +3,7 @@ manifest, and the trial reader against the original per-row reader."""
 
 import ast
 import csv
+import inspect
 import math
 import os
 import re
@@ -15,11 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from motionshape import inputs, pipeline
+from motionshape import inputs, pipeline, registration
 from motionshape.cli import main
 from motionshape.inputs import ManifestError, PipelineConfig, load_manifest
-from motionshape.pipeline import IngestResult, ingest
-from motionshape.preprocess import RawRecording
+from motionshape.pipeline import CohortReport, ingest
+from motionshape.preprocess import RawRecording, butterworth_lowpass
+from motionshape.registration import phase_amplitude_separation
 
 from conftest import extend_manifest, python, trial_row, write_manifest
 
@@ -28,6 +30,10 @@ from conftest import extend_manifest, python, trial_row, write_manifest
 NON_DEFAULT = dict(grid_n=61, filter_order=2, cutoff_ratio=0.2, channel="acc",
                    dp_max_slope=3, mean_max_iter=5, mean_tol=0.001,
                    rolling_window_frac=0.25)
+
+
+def default_of(function, parameter):
+    return inspect.signature(function).parameters[parameter].default
 
 
 def reference_read_trial(path, channel):
@@ -137,6 +143,16 @@ class TestConfig:
         assert cfg.cutoff_ratio == 0.1
         assert cfg.dp_max_slope == 7
 
+    @pytest.mark.parametrize("name, default", [
+        ("filter_order", default_of(butterworth_lowpass, "order")),
+        ("cutoff_ratio", default_of(butterworth_lowpass, "cutoff_ratio")),
+        ("dp_max_slope", registration.DEFAULT_MAX_SLOPE),
+        ("mean_max_iter", default_of(phase_amplitude_separation, "max_iter")),
+        ("mean_tol", default_of(phase_amplitude_separation, "tol")),
+    ])
+    def test_default_is_that_of_the_function_configured(self, name, default):
+        assert getattr(PipelineConfig(), name) == default
+
     def test_from_file_with_comments(self, tmp_path):
         f = tmp_path / "cfg.txt"
         f.write_text("# comment\ngrid_n = 61\ncutoff_ratio = 0.2\n\n")
@@ -187,6 +203,27 @@ class TestConfig:
                      "--grid-n", "8", "--skip-bad"]) == 2
         err = capsys.readouterr().err
         assert "grid_n=8" in err and "filter_order=3" in err
+
+    @pytest.mark.parametrize("grid_n", [
+        2**60, 2**62, 2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2])
+    def test_grid_n_numpy_cannot_hold_is_refused(self, cohort_dir,
+                                                 monkeypatch, capsys, grid_n):
+        # n float64 samples take 8n bytes, and numpy holds at most
+        # np.iinfo(np.intp).max; the config is refused before any trial
+        read = []
+        monkeypatch.setattr(pipeline, "ingest",
+                            lambda *args, **kwargs: read.append(args))
+        for flags in ([], ["--skip-bad"]):
+            assert main(["ingest-check", "--manifest", str(cohort_dir),
+                         "--grid-n", str(grid_n), *flags]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and read == []
+            assert err.startswith(f"error: config field grid_n={grid_n} ")
+            assert err.count("\n") == 1
+        limit = np.iinfo(np.intp).max // 8
+        assert PipelineConfig(grid_n=limit).grid_n == limit
+        with pytest.raises(ManifestError, match=f"grid_n={limit + 1} "):
+            PipelineConfig(grid_n=limit + 1)
 
     def test_line_numbers_count_only_line_breaks(self, tmp_path):
         # \x0c and \x85 end a line for str.splitlines, not for the csv readers
@@ -245,7 +282,7 @@ class TestConfig:
 
         def fake_ingest(manifest, config, skip_bad=False):
             seen.append(config)
-            return IngestResult([], [])
+            return CohortReport(items=[], skipped=[])
 
         monkeypatch.setattr(pipeline, "ingest", fake_ingest)
         argv = ["ingest-check", "--manifest", "m.csv"]

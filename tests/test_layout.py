@@ -6,6 +6,9 @@ with `ast`; it may neither import such a name from a sibling
 (`from .x import _name`) nor read one as an attribute of a sibling module it
 imported (`from . import x` ... `x._name`).
 
+Every name `motionshape/__init__.py` imports from a module is in that
+module's `__all__`, and every `__all__` entry exists.
+
 Every `module.name` the README's prose names in backticks, for one of the
 package's modules, and every name a README `python` block imports, exists.
 
@@ -87,6 +90,30 @@ def test_checker_allows_public_and_foreign_names(source):
                          ids=lambda p: p.name)
 def test_no_module_uses_a_siblings_private_names(path):
     assert private_uses(path.read_text()) == []
+
+
+def package_imports() -> list[tuple[str, str]]:
+    """(module, name) of each name `__init__.py` imports from a module."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names]
+
+
+def test_package_imports_only_exported_names():
+    imports = package_imports()
+    assert imports
+    assert [f"{module}.{name}" for module, name in imports
+            if name not in import_module(f"{PACKAGE.name}.{module}").__all__
+            ] == []
+
+
+@pytest.mark.parametrize("module", [
+    m for m in MODULES
+    if hasattr(import_module(f"{PACKAGE.name}.{m}"), "__all__")])
+def test_all_entries_exist(module):
+    found = import_module(f"{PACKAGE.name}.{module}")
+    assert [name for name in found.__all__ if not hasattr(found, name)] == []
 
 
 def readme_references(text: str) -> list[tuple[str, str]]:
