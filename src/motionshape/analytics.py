@@ -1,7 +1,8 @@
 """Cohort-level statistics over registration outputs.
 
 Distance matrices, Welch's unequal-variance t-test, ordinary least squares
-against clinical covariates, and rolling correlation along aligned signals.
+against clinical covariates, and rolling correlation along aligned signals;
+and the cohort tests of a run's per-trial `ParticipantScore`s built on them.
 The Student-t tail probability is computed from the regularized incomplete
 beta function (continued-fraction evaluation), so results do not depend on
 any statistics library.
@@ -18,6 +19,7 @@ import numpy as np
 from .core import (
     DegenerateInputError,
     DimensionError,
+    DistanceTriple,
     InsufficientDataError,
     ParameterError,
     Trajectory,
@@ -89,6 +91,15 @@ class RegressionResult:
             raise DegenerateInputError(f"|r| > 1: {self.r}")
         if not (0.0 <= self.p_value <= 1.0):
             raise DegenerateInputError(f"p-value {self.p_value} outside [0, 1]")
+
+
+@dataclass(frozen=True)
+class ParticipantScore:
+    label: str
+    cohort: str
+    brooke_score: int | None
+    dynamometry: float | None
+    triple: DistanceTriple
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +236,51 @@ def linear_regression(x, y) -> RegressionResult:
     return RegressionResult(float(slope), intercept, r, p)
 
 
+def cohort_t_tests(scores: list[ParticipantScore]) -> dict:
+    healthy = [s for s in scores if s.cohort == "healthy"]
+    patients = [s for s in scores if s.cohort != "healthy"]
+    out = {}
+    for metric in METRICS:
+        if len(healthy) < 2 or len(patients) < 2:
+            out[metric] = {"skipped": "need >= 2 trials per group"}
+            continue
+        try:
+            res = welch_t_test([getattr(s.triple, metric) for s in healthy],
+                               [getattr(s.triple, metric) for s in patients])
+        except DegenerateInputError as exc:
+            out[metric] = {"skipped": str(exc)}
+            continue
+        out[metric] = {"t": res.t_statistic, "p": res.p_value, "dof": res.dof}
+    return out
+
+
+def cohort_regressions(scores: list[ParticipantScore]) -> dict:
+    out = {}
+    covariates = {
+        "brooke": lambda s: s.brooke_score,
+        "dynamometry": lambda s: s.dynamometry,
+    }
+    for metric in ("amplitude", "phase"):
+        for cov_name, get in covariates.items():
+            key = f"{metric}_vs_{cov_name}"
+            subset = [(float(get(s)), getattr(s.triple, metric))
+                      for s in scores if get(s) is not None]
+            if len(subset) < 3:
+                out[key] = {"n": len(subset), "skipped": "fewer than 3 points"}
+                continue
+            x = [p[0] for p in subset]
+            y = [p[1] for p in subset]
+            try:
+                res = linear_regression(x, y)
+            except DegenerateInputError as exc:
+                out[key] = {"n": len(subset), "skipped": str(exc)}
+                continue
+            out[key] = {"n": len(subset), "slope": res.slope,
+                        "intercept": res.intercept, "r": res.r,
+                        "p": res.p_value}
+    return out
+
+
 def rolling_correlation(a: Trajectory, b: Trajectory, window: int) -> np.ndarray:
     """Pearson correlation over sliding windows (stride 1).
 
@@ -289,3 +345,19 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
     d = 0.5 * (d + d.T)
     d[d < 0] = 0.0  # cosine can round to -1e-17 on near-identical pairs
     return DistanceMatrix(labels, d)
+
+
+def block_summary(matrix: DistanceMatrix, cohorts: list[str]) -> dict | None:
+    """Mean within-healthy and healthy-to-patient distances, plus their ratio."""
+    is_h = np.array([c == "healthy" for c in cohorts])
+    if is_h.sum() < 2 or (~is_h).sum() < 1:
+        return None
+    v = matrix.values
+    hh = v[np.ix_(is_h, is_h)]
+    within = float(hh[np.triu_indices_from(hh, k=1)].mean())
+    between = float(v[np.ix_(is_h, ~is_h)].mean())
+    return {
+        "within_healthy": within,
+        "between": between,
+        "ratio": between / within if within > 0 else None,
+    }

@@ -82,7 +82,7 @@ def _distances(run: pl.CohortReport, into: Path, out: Path) -> str:
 
 
 def _stats(run: pl.CohortReport, into: Path, out: Path) -> str:
-    write_stats_json(into / "stats.json", run)
+    write_stats_json(into / "stats.json", run.summary_dict())
     return "wrote stats.json"
 
 

@@ -61,14 +61,15 @@ _MAX_GRID_N = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 def _open_text(path: Path) -> tuple[os.stat_result, str, io.TextIOWrapper]:
     """A regular file's status, taken before it is read, and its text, whole
-    and as a stream of lines, decoded as `open` decodes it, line breaks kept.
+    and as a stream of lines, decoded as `open` decodes it, line breaks kept,
+    less one leading UTF-8 byte-order mark (Excel's "CSV UTF-8" writes one).
     Any other path, or one that cannot be read, raises ManifestError naming
     it; bytes the codec refuses raise it naming the file and line."""
     try:
         status = path.stat()
         if not stat.S_ISREG(status.st_mode):
             raise ManifestError(f"{path}: not a regular file")
-        raw = path.read_bytes()
+        raw = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
     except OSError as exc:
         raise ManifestError(f"{path}: {exc.strerror or exc}") from exc
     stream = io.TextIOWrapper(io.BytesIO(raw), newline="")

@@ -38,9 +38,8 @@ if fcntl is not None:
     os.register_at_fork(after_in_child=_close_locked)
 
 if TYPE_CHECKING:
-    from .analytics import DistanceMatrix
+    from .analytics import DistanceMatrix, ParticipantScore
     from .core import Trajectory
-    from .pipeline import CohortReport, ParticipantScore
     from .registration import Alignment
 
 __all__ = [
@@ -187,9 +186,8 @@ def write_rolling_csv(path: Path, grid_points: np.ndarray, window: int,
                [[_fmt(t), _fmt(v)] for t, v in zip(centers, values)])
 
 
-def write_stats_json(path: Path, report: CohortReport) -> None:
-    """The report's summary as JSON; a NaN raises instead of writing NaN."""
+def write_stats_json(path: Path, summary: dict) -> None:
+    """A report's summary as JSON; a NaN raises instead of writing NaN."""
     with path.open("w") as fh:
-        json.dump(report.summary_dict(), fh, indent=2, sort_keys=True,
-                  allow_nan=False)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

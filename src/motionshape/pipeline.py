@@ -16,14 +16,15 @@ import numpy as np
 
 from .analytics import (
     DistanceMatrix,
-    linear_regression,
+    ParticipantScore,
+    block_summary,
+    cohort_regressions,
+    cohort_t_tests,
     pairwise_matrix,
     rolling_correlation,
-    welch_t_test,
 )
 from .core import (
     DegenerateInputError,
-    DistanceTriple,
     InsufficientDataError,
     Trajectory,
     fork_map,
@@ -88,9 +89,10 @@ def _ingest_trial(entry: ManifestEntry,
             if not np.isfinite(slope):
                 raise DegenerateInputError(
                     "signal too large (derivative L2 norm overflows)")
-        if norm < MIN_SIGNAL_NORM:
+        floor = np.sqrt(config.dp_max_slope) * MIN_SIGNAL_NORM
+        if norm < floor:
             raise DegenerateInputError(
-                f"flat signal (L2 norm {norm:.3g} < {MIN_SIGNAL_NORM:g})")
+                f"flat signal (L2 norm {norm:.3g} < {floor:g})")
         if slope <= MIN_VARIATION_RATIO * norm:
             raise DegenerateInputError(
                 f"constant signal (derivative L2 norm {slope:.3g} <= "
@@ -104,15 +106,15 @@ def ingest(manifest_path: Path | str, config: PipelineConfig,
            skip_bad: bool = False) -> CohortReport:
     """Load, resample, and smooth every trial named by the manifest.
 
-    A bad trial aborts the run with file/row context unless `skip_bad`,
-    in which case it is recorded in `skipped` instead. A trial whose
-    smoothed signal is flat (L2 norm below MIN_SIGNAL_NORM) is bad: no
-    cosine distance exists for it. So is a constant one (derivative L2 norm
-    at most MIN_VARIATION_RATIO times the signal's): it has no shape to
-    align. So is one whose L2 norm, or its derivative's, overflows. Every
-    error raised for a trial names its file. Inside a `core.worker_pool`
-    block the trials are read in worker processes; the result, and which
-    error is raised, are the same as when read in this one.
+    A bad trial aborts the run with file/row context unless `skip_bad`, in
+    which case it is recorded in `skipped` instead. A trial whose smoothed
+    signal is flat (L2 norm below sqrt(dp_max_slope) x MIN_SIGNAL_NORM) is
+    bad: a warp could shrink it to no cosine distance. So is a constant one
+    (derivative L2 norm at most MIN_VARIATION_RATIO times the signal's): it
+    has no shape to align. So is one whose L2 norm, or its derivative's,
+    overflows. Every error raised for a trial names its file. Inside a
+    `core.worker_pool` block the trials are read in worker processes; the
+    result, and which error is raised, are the same as when read in this one.
     """
     entries = load_manifest(manifest_path)
     if not entries:
@@ -134,15 +136,6 @@ def ingest(manifest_path: Path | str, config: PipelineConfig,
 # ---------------------------------------------------------------------------
 # Report assembly
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParticipantScore:
-    label: str
-    cohort: str
-    brooke_score: int | None
-    dynamometry: float | None
-    triple: DistanceTriple
-
 
 @dataclass(frozen=True)
 class CohortReport:
@@ -225,67 +218,6 @@ def score_against_mean(items: list[IngestedTrial], mean: Trajectory,
     return scores, alignment
 
 
-def cohort_t_tests(scores: list[ParticipantScore]) -> dict:
-    healthy = [s for s in scores if s.cohort == "healthy"]
-    patients = [s for s in scores if s.cohort != "healthy"]
-    out = {}
-    for metric in ("amplitude", "phase", "cosine"):
-        if len(healthy) < 2 or len(patients) < 2:
-            out[metric] = {"skipped": "need >= 2 trials per group"}
-            continue
-        try:
-            res = welch_t_test([getattr(s.triple, metric) for s in healthy],
-                               [getattr(s.triple, metric) for s in patients])
-        except DegenerateInputError as exc:
-            out[metric] = {"skipped": str(exc)}
-            continue
-        out[metric] = {"t": res.t_statistic, "p": res.p_value, "dof": res.dof}
-    return out
-
-
-def cohort_regressions(scores: list[ParticipantScore]) -> dict:
-    out = {}
-    covariates = {
-        "brooke": lambda s: s.brooke_score,
-        "dynamometry": lambda s: s.dynamometry,
-    }
-    for metric in ("amplitude", "phase"):
-        for cov_name, get in covariates.items():
-            key = f"{metric}_vs_{cov_name}"
-            subset = [(float(get(s)), getattr(s.triple, metric))
-                      for s in scores if get(s) is not None]
-            if len(subset) < 3:
-                out[key] = {"n": len(subset), "skipped": "fewer than 3 points"}
-                continue
-            x = [p[0] for p in subset]
-            y = [p[1] for p in subset]
-            try:
-                res = linear_regression(x, y)
-            except DegenerateInputError as exc:
-                out[key] = {"n": len(subset), "skipped": str(exc)}
-                continue
-            out[key] = {"n": len(subset), "slope": res.slope,
-                        "intercept": res.intercept, "r": res.r,
-                        "p": res.p_value}
-    return out
-
-
-def block_summary(matrix: DistanceMatrix, cohorts: list[str]) -> dict | None:
-    """Mean within-healthy and healthy-to-patient distances, plus their ratio."""
-    is_h = np.array([c == "healthy" for c in cohorts])
-    if is_h.sum() < 2 or (~is_h).sum() < 1:
-        return None
-    v = matrix.values
-    hh = v[np.ix_(is_h, is_h)]
-    within = float(hh[np.triu_indices_from(hh, k=1)].mean())
-    between = float(v[np.ix_(is_h, ~is_h)].mean())
-    return {
-        "within_healthy": within,
-        "between": between,
-        "ratio": between / within if within > 0 else None,
-    }
-
-
 def stages(manifest_path: Path | str, config: PipelineConfig,
            skip_bad: bool = False):
     """The analysis chain, one stage at a time.
@@ -349,5 +281,5 @@ def write_report(out_dir: Path | str, report: CohortReport) -> None:
         write_rolling_csv(out / "rolling" / f"{label}.csv",
                           report.mean.grid.points, report.rolling_window,
                           values)
-    write_stats_json(out / "stats.json", report)
+    write_stats_json(out / "stats.json", report.summary_dict())
 

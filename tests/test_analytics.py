@@ -10,6 +10,7 @@ from motionshape import analytics, registration
 from motionshape.core import (
     DegenerateInputError,
     DimensionError,
+    DistanceTriple,
     InsufficientDataError,
     ParameterError,
     TimeGrid,
@@ -18,9 +19,14 @@ from motionshape.core import (
     l2_norm,
 )
 from motionshape.analytics import (
+    METRICS,
     DistanceMatrix,
+    ParticipantScore,
     RegressionResult,
     TTestResult,
+    block_summary,
+    cohort_regressions,
+    cohort_t_tests,
     linear_regression,
     pairwise_matrix,
     rolling_correlation,
@@ -272,6 +278,113 @@ class TestLinearRegression:
             resid = y - (res.slope * x + res.intercept)
             scale = max(1.0, float(np.abs(x @ y)))
             assert abs(float(resid @ (x - x.mean()))) <= 1e-9 * scale
+
+
+def score(cohort, amplitude, phase, cosine, brooke=None, dynamometry=None):
+    return ParticipantScore(f"{cohort}{amplitude}", cohort, brooke,
+                            dynamometry,
+                            DistanceTriple(amplitude, phase, cosine))
+
+
+class TestCohortStatistics:
+    """The per-cohort wrappers over `welch_t_test` and `linear_regression`,
+    and `block_summary`, on hand-made scores and matrices."""
+
+    HEALTHY = [score("healthy", 1.0, 0.1, 0.01, 6, 40.0),
+               score("healthy", 1.5, 0.2, 0.03, 5, 35.0),
+               score("healthy", 0.8, 0.1, 0.02, None, 42.5)]
+    PATIENTS = [score("DMD", 3.0, 0.4, 0.20, 3, 12.0),
+                score("SMA", 2.5, 0.6, 0.10, 2, None),
+                score("DMD", 4.0, 0.5, 0.30, 1, 8.0)]
+
+    def test_t_tests_match_welch(self):
+        out = cohort_t_tests(self.HEALTHY + self.PATIENTS)
+        assert list(out) == list(METRICS)
+        for metric in METRICS:
+            res = welch_t_test(
+                [getattr(s.triple, metric) for s in self.HEALTHY],
+                [getattr(s.triple, metric) for s in self.PATIENTS])
+            assert out[metric] == {"t": res.t_statistic, "p": res.p_value,
+                                   "dof": res.dof}
+
+    @pytest.mark.parametrize("healthy, patients", [(3, 1), (1, 3), (3, 0)])
+    def test_t_tests_need_two_trials_per_group(self, healthy, patients):
+        out = cohort_t_tests(self.HEALTHY[:healthy] + self.PATIENTS[:patients])
+        assert out == {metric: {"skipped": "need >= 2 trials per group"}
+                       for metric in METRICS}
+
+    def test_t_test_skips_zero_variance_with_unequal_means(self):
+        scores = [score("healthy", 1.0, 0.1, 0.01),
+                  score("healthy", 1.0, 0.2, 0.02),
+                  score("DMD", 2.0, 0.4, 0.2),
+                  score("SMA", 2.0, 0.5, 0.3)]
+        out = cohort_t_tests(scores)
+        assert out["amplitude"] == {
+            "skipped": "zero variance in both samples, unequal means"}
+        assert set(out["phase"]) == set(out["cosine"]) == {"t", "p", "dof"}
+
+    def test_regressions_match_least_squares(self):
+        scores = self.HEALTHY + self.PATIENTS
+        out = cohort_regressions(scores)
+        assert sorted(out) == ["amplitude_vs_brooke",
+                               "amplitude_vs_dynamometry",
+                               "phase_vs_brooke", "phase_vs_dynamometry"]
+        for metric in ("amplitude", "phase"):
+            for name, covariate in (("brooke", "brooke_score"),
+                                    ("dynamometry", "dynamometry")):
+                kept = [s for s in scores
+                        if getattr(s, covariate) is not None]
+                res = linear_regression(
+                    [getattr(s, covariate) for s in kept],
+                    [getattr(s.triple, metric) for s in kept])
+                assert out[f"{metric}_vs_{name}"] == {
+                    "n": 5, "slope": res.slope, "intercept": res.intercept,
+                    "r": res.r, "p": res.p_value}
+
+    def test_regressions_need_three_points(self):
+        scores = [score("healthy", 1.0, 0.1, 0.01, 6, 40.0),
+                  score("DMD", 3.0, 0.4, 0.2, None, 12.0),
+                  score("SMA", 2.5, 0.6, 0.1, 2, None)]
+        out = cohort_regressions(scores)
+        for metric in ("amplitude", "phase"):
+            for name in ("brooke", "dynamometry"):
+                assert out[f"{metric}_vs_{name}"] == {
+                    "n": 2, "skipped": "fewer than 3 points"}
+
+    def test_regression_skips_a_constant_covariate(self):
+        scores = [score("healthy", 1.0, 0.1, 0.01, 4, 40.0),
+                  score("DMD", 3.0, 0.4, 0.2, 4, 12.0),
+                  score("SMA", 2.5, 0.6, 0.1, 4, 20.0)]
+        out = cohort_regressions(scores)
+        assert out["amplitude_vs_brooke"] == out["phase_vs_brooke"] == {
+            "n": 3, "skipped": "regressor x is constant"}
+        assert out["amplitude_vs_dynamometry"]["n"] == 3
+        assert "slope" in out["amplitude_vs_dynamometry"]
+
+    def test_block_summary_by_hand(self):
+        # healthy rows 0 and 2, patients 1 and 3
+        values = np.array([[0.0, 3.0, 1.0, 5.0],
+                           [3.0, 0.0, 2.0, 6.0],
+                           [1.0, 2.0, 0.0, 4.0],
+                           [5.0, 6.0, 4.0, 0.0]])
+        matrix = DistanceMatrix(list("abcd"), values)
+        out = block_summary(matrix, ["healthy", "DMD", "healthy", "SMA"])
+        assert out == {"within_healthy": 1.0, "between": 3.5, "ratio": 3.5}
+
+    @pytest.mark.parametrize("cohorts", [
+        ["healthy", "DMD", "SMA"], ["healthy", "healthy", "healthy"]],
+        ids=["one healthy", "no patient"])
+    def test_block_summary_needs_two_healthy_and_a_patient(self, cohorts):
+        assert block_summary(DistanceMatrix(list("abc"), np.zeros((3, 3))),
+                             cohorts) is None
+
+    def test_block_summary_ratio_is_none_for_identical_healthy(self):
+        values = np.array([[0.0, 0.0, 2.0],
+                           [0.0, 0.0, 2.0],
+                           [2.0, 2.0, 0.0]])
+        out = block_summary(DistanceMatrix(list("abc"), values),
+                            ["healthy", "healthy", "DMD"])
+        assert out == {"within_healthy": 0.0, "between": 2.0, "ratio": None}
 
 
 class TestResultRecords:

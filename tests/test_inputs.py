@@ -23,7 +23,8 @@ from motionshape.pipeline import CohortReport, ingest
 from motionshape.preprocess import RawRecording, butterworth_lowpass
 from motionshape.registration import phase_amplitude_separation
 
-from conftest import extend_manifest, python, trial_row, write_manifest
+from conftest import (extend_manifest, python, trial_row, tree_bytes,
+                      write_manifest)
 
 
 # a valid, non-default value for every PipelineConfig field
@@ -667,3 +668,28 @@ class TestInputPaths:
         out = capsys.readouterr().out.splitlines()
         assert f"skipped PB: {bad.resolve()}: not a regular file" in out
         assert out[-1] == "5 trial(s) ok, 1 skipped"
+
+    @pytest.mark.parametrize("role", ["manifest", "config", "trial",
+                                      "trial read per row"])
+    def test_leading_byte_order_mark_is_dropped(self, cohort_dir, tmp_path,
+                                                capsys, role):
+        # as Excel's "CSV UTF-8" writes it
+        config = tmp_path / "run.cfg"
+        config.write_text("grid_n = 61\nmean_max_iter = 10\n")
+        trial = cohort_dir.parent / "healthy_00.csv"
+        if role == "trial read per row":  # a quote keeps numpy's reader out
+            body = trial.read_text().partition("\n")[2]
+            trial.write_text('"time_s",gyro\n' + body)
+        path = {"manifest": cohort_dir, "config": config}.get(role, trial)
+        argv = ["--manifest", str(cohort_dir), "--config", str(config)]
+        runs = []
+        for name in ("plain", "bom"):
+            if name == "bom":
+                path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            assert main(["ingest-check", *argv]) == 0
+            listing = capsys.readouterr().out
+            assert main(["report", *argv, "--out", str(tmp_path / name)]) == 0
+            capsys.readouterr()
+            runs.append((listing, tree_bytes(tmp_path / name)))
+        assert runs[1] == runs[0]
+        assert runs[0][0].endswith("5 trial(s) ok, 0 skipped\n")

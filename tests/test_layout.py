@@ -6,6 +6,9 @@ with `ast`; it may neither import such a name from a sibling
 (`from .x import _name`) nor read one as an attribute of a sibling module it
 imported (`from . import x` ... `x._name`).
 
+Only `cli.py` and `__init__.py` import `pipeline`, the stage chain, so no
+module below the chain depends on it, not even for type hints.
+
 Every name `motionshape/__init__.py` imports from a module is in that
 module's `__all__`, and every `__all__` entry exists.
 
@@ -90,6 +93,43 @@ def test_checker_allows_public_and_foreign_names(source):
                          ids=lambda p: p.name)
 def test_no_module_uses_a_siblings_private_names(path):
     assert private_uses(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The sibling modules `source` imports, by any import statement,
+    including those under `if TYPE_CHECKING:`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith(f"{PACKAGE.name}."))
+        elif isinstance(node, ast.ImportFrom) and _is_sibling(node):
+            module = (node.module or "").removeprefix(PACKAGE.name)
+            if module.strip("."):
+                found.add(module.strip(".").split(".")[0])
+            else:  # from . import x, from motionshape import x
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("source, want", [
+    ("from .pipeline import stages\n", {"pipeline"}),
+    ("from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n"
+     "    from .pipeline import CohortReport\n", {"pipeline"}),
+    ("from . import pipeline as pl\n", {"pipeline"}),
+    ("from motionshape import core, pipeline\n", {"core", "pipeline"}),
+    ("from motionshape.pipeline import ingest\n", {"pipeline"}),
+    ("import motionshape.pipeline\n", {"pipeline"}),
+    ("import pipeline\nfrom os import path\n", set()),
+])
+def test_imported_modules_are_found(source, want):
+    assert imported_modules(source) == want
+
+
+def test_only_the_cli_imports_the_stage_chain():
+    assert sorted(p.name for p in PACKAGE.glob("*.py")
+                  if "pipeline" in imported_modules(p.read_text())) == \
+        ["__init__.py", "cli.py"]
 
 
 def package_imports() -> list[tuple[str, str]]:

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 import motionshape
-from motionshape.core import InsufficientDataError, worker_pool
+from motionshape.core import InsufficientDataError, l2_norm, worker_pool
 from motionshape import inputs, lattice, pipeline
 from motionshape.cli import main
 from motionshape.analytics import pairwise_matrix
 from motionshape.inputs import ManifestError, PipelineConfig
 from motionshape.pipeline import CohortReport, ingest, stages, write_report
-from motionshape.registration import align_pairwise
+from motionshape.registration import MIN_SIGNAL_NORM, align_pairwise
 from motionshape.synthetic import write_cohort
 
 from conftest import (FAST, extend_manifest, python, trial_row, tree_bytes,
@@ -619,6 +619,66 @@ class TestRerunIntoUsedOut:
         assert capsys.readouterr().err == "error: disk full\n"
         assert tree_bytes(out / "rolling") == before
         assert sorted(p.name for p in out.iterdir()) == self.REPORT
+
+
+class TestLowNormTrials:
+    """Trials near the flat-signal floor, and sign-flipped ones, through
+    `cli.main`. A warp of slope at most S shrinks an L2 norm by up to
+    sqrt(S), so a trial that ingest lets through must keep its aligned
+    copies above MIN_SIGNAL_NORM, or one `matrix_post` pair aborts the
+    whole `report --skip-bad` run."""
+
+    @pytest.fixture
+    def cohort(self, tmp_path):
+        return write_cohort(tmp_path / "cohort", n_healthy=4, n_patients=3,
+                            seed=0, rate_hz=50.0, duration_s=2.0)
+
+    @staticmethod
+    def scale(manifest, label, factor=None, norm=None):
+        """Multiply trial `label`'s samples by `factor`, or by what makes
+        its smoothed L2 norm at FAST's grid `norm`; returns its path."""
+        run = ingest(manifest, PipelineConfig(**FAST))
+        item = next(it for it in run.items if it.label == label)
+        if norm is not None:
+            factor = norm / l2_norm(item.trajectory.values,
+                                    item.trajectory.grid)
+        data = np.loadtxt(item.entry.trial_path, delimiter=",", skiprows=1)
+        write_trial(item.entry.trial_path, zip(data[:, 0], factor * data[:, 1]))
+        return item.entry.trial_path
+
+    @pytest.mark.parametrize("label", ["H00", "P01"])
+    def test_just_above_min_signal_norm_is_skipped(self, cohort, tmp_path,
+                                                    label):
+        self.scale(cohort, label, norm=1.05 * MIN_SIGNAL_NORM)
+        out = tmp_path / "out"
+        assert main(report_argv(cohort, out, "--skip-bad")) == 0
+        stats = read_stats(out)
+        assert [s["label"] for s in stats["skipped"]] == [label]
+        assert "flat signal" in stats["skipped"][0]["reason"]
+        assert len(stats["distances"]) == 6
+
+    def test_just_above_min_signal_norm_names_its_file(self, cohort,
+                                                       tmp_path, capsys):
+        path = self.scale(cohort, "H00", norm=1.05 * MIN_SIGNAL_NORM)
+        assert main(report_argv(cohort, tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        slope = PipelineConfig(**FAST).dp_max_slope
+        floor = math.sqrt(slope) * MIN_SIGNAL_NORM
+        assert err.startswith(f"error: {path}: flat signal (L2 norm 1.05e-12 "
+                              f"< {floor:g})")
+
+    @pytest.mark.parametrize("label, factor, norm", [
+        ("H00", None, 3 * MIN_SIGNAL_NORM), ("P01", None, 3 * MIN_SIGNAL_NORM),
+        ("H00", -1.0, None), ("P01", -1.0, None)],
+        ids=["healthy at 3x", "patient at 3x", "healthy flipped",
+             "patient flipped"])
+    def test_trial_scores(self, cohort, tmp_path, label, factor, norm):
+        self.scale(cohort, label, factor, norm)
+        out = tmp_path / "out"
+        assert main(report_argv(cohort, out, "--skip-bad")) == 0
+        stats = read_stats(out)
+        assert stats["skipped"] == []
+        assert label in stats["distances"]
 
 
 class TestStatsOnDegenerateInput:
