@@ -53,7 +53,9 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        # a read-only copy, so no later write can undo the checks below
+        v = np.array(self.values, dtype=float)
+        v.flags.writeable = False
         m = len(self.labels)
         if v.shape != (m, m):
             raise DimensionError(f"expected {m}x{m} matrix, got {v.shape}")
@@ -312,13 +314,14 @@ def pairwise_matrix(curves: list[Trajectory], metric: str, registered: bool,
     """All-pairs distances, optionally after per-pair elastic alignment.
 
     With `registered`, entry (i, j) aligns curve j onto curve i as
-    `align_pairwise` does, so each registered metric rejects a curve
-    whose L2 norm is below MIN_SIGNAL_NORM. The slightly asymmetric result
-    is symmetrized as (D + D^T)/2. Unregistered metrics are exactly
+    `align_pairwise` does, so each registered metric, amplitude and phase
+    included, raises DegenerateInputError for a curve whose L2 norm, or
+    whose aligned copy's, is below MIN_SIGNAL_NORM. The slightly asymmetric
+    result is symmetrized as (D + D^T)/2. Unregistered metrics are exactly
     symmetric, so each unordered pair is evaluated once and (D + D^T)/2
-    leaves them bit for bit. The phase metric only exists for
-    registered pairs. Rows and columns are named by `labels`, or "0".."m-1"
-    when none are given.
+    leaves them bit for bit. The phase metric only exists for registered
+    pairs. Rows and columns are named by `labels`, or "0".."m-1" when none
+    are given.
     """
     if metric not in METRICS:
         raise ParameterError(f"unknown metric {metric!r}; pick one of {METRICS}")

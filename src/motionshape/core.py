@@ -202,8 +202,8 @@ def l2_norm(f: np.ndarray, grid: TimeGrid) -> float:
     return float(np.sqrt(max(inner_product(f, f, grid), 0.0)))
 
 
-# the open `worker_pool` block, and its fork pool once a map has started it
-_in_run = False
+# the pid that opened the `worker_pool` block, and its pool once started
+_run_pid = None
 _executor = None
 
 
@@ -213,29 +213,28 @@ def worker_pool():
 
     The pool starts on the first call that can use it and is shut down
     when the block exits, so no worker outlives the block. A nested block
-    uses the outer block's pool.
+    uses the outer block's pool. A process forked inside the block, pool
+    worker or not, is outside it: it neither uses nor shuts the pool.
     """
-    global _in_run, _executor
-    if _in_run:
+    global _run_pid, _executor
+    if _run_pid == os.getpid():
         yield
         return
-    _in_run = True
+    _run_pid, _executor = os.getpid(), None
     try:
         yield
     finally:
-        pool, _in_run, _executor = _executor, False, None
+        pool = _executor if _run_pid == os.getpid() else None
+        _run_pid = _executor = None
         if pool is not None:
             pool.shutdown()
 
 
-def _exit_with_run(run: int) -> None:
-    """Pool worker initializer. It clears the worker's copy of the run's
-    pool state, so a `fork_map` in a worker is the lazy `map`. On Linux, it
-    has the kernel SIGKILL this worker when the thread that forked it (the
-    run's, at its first map) dies, and exits now if the run already has.
-    An initializer that raises breaks the pool, so nothing here raises."""
-    global _in_run, _executor
-    _in_run, _executor = False, None
+def _exit_with_run() -> None:
+    """Pool worker initializer. On Linux, the kernel SIGKILLs this worker
+    when the thread that forked it (the run's, at its first map) dies, and
+    it exits now if the run already has. Nothing here raises: a raising
+    initializer breaks the pool."""
     if sys.platform != "linux":
         return
     try:
@@ -246,29 +245,30 @@ def _exit_with_run(run: int) -> None:
     prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
     prctl.restype = ctypes.c_int
     prctl(1, signal.SIGKILL)  # 1: PR_SET_PDEATHSIG
-    if os.getppid() != run:
+    if os.getppid() != _run_pid:
         os._exit(1)
 
 
 def fork_map(fn: Callable, items: Sequence, stage: str) -> Iterable:
     """`fn` of each item, in order.
 
-    Inside a `worker_pool` block, with two or more items, two or more
-    usable CPUs and `os.fork`, the block's pool runs it: one worker per
-    usable CPU, each given one contiguous chunk of `items`, and the results
-    come back as a list. Otherwise this is the lazy `map(fn, items)` in
-    this process, so a caller that stops at one result computes no later
-    ones. A worker that dies raises OSError naming `stage`, and the broken
-    pool is dropped. `fn` and each result are pickled between processes; a
-    worker's value of one of the types above is rebuilt by its constructor.
+    Inside a `worker_pool` block this process opened, with two or more
+    items, two or more usable CPUs and `os.fork`, the block's pool runs it:
+    one worker per usable CPU, each given one contiguous chunk of `items`,
+    and the results come back as a list. Otherwise this is the lazy
+    `map(fn, items)` in this process, so a caller that stops at one result
+    computes no later ones. A worker that dies raises OSError naming
+    `stage`, and the broken pool is dropped. `fn` and each result are
+    pickled between processes; a worker's value of one of the types above
+    is rebuilt by its constructor.
     """
     global _executor
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
         cpus = os.cpu_count() or 1
-    # Windows has no fork start method
-    if not _in_run or len(items) < 2 or cpus < 2 or not hasattr(os, "fork"):
+    if (_run_pid != os.getpid() or len(items) < 2 or cpus < 2
+            or not hasattr(os, "fork")):  # Windows has no fork start method
         return map(fn, items)
     # imported here: a run that starts no pool does not pay for them
     import multiprocessing
@@ -278,7 +278,7 @@ def fork_map(fn: Callable, items: Sequence, stage: str) -> Iterable:
     if _executor is None:
         _executor = ProcessPoolExecutor(
             cpus, mp_context=multiprocessing.get_context("fork"),
-            initializer=_exit_with_run, initargs=(os.getpid(),))
+            initializer=_exit_with_run)
     try:
         return list(_executor.map(fn, items, chunksize=-(-len(items) // cpus)))
     except BrokenProcessPool as exc:

@@ -335,8 +335,7 @@ def read_trial(path: Path, channel: str) -> RawRecording:
             if ((after.st_size, after.st_mtime_ns)
                     == (before.st_size, before.st_mtime_ns)
                     and len(data) >= 8):
-                times, values = data.T.copy()
-                return RawRecording(times, values)
+                return RawRecording(*data.T)
         except (ValueError, OSError):  # or a failed RawRecording check
             pass
     return _read_rows(path, rows, ti, ci)
@@ -369,4 +368,4 @@ def _read_rows(path: Path, rows: Iterator[tuple[int, list[str]]],
         values.append(v)
     if len(times) < 8:
         raise ManifestError(f"{path}: fewer than 8 samples ({len(times)})")
-    return RawRecording(np.array(times), np.array(values))
+    return RawRecording(times, values)

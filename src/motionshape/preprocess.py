@@ -33,14 +33,16 @@ PADLEN_PER_ORDER = 3
 
 @dataclass(frozen=True)
 class RawRecording:
-    """One trial as it comes off the sensor: timestamps in seconds + samples."""
+    """One trial as it comes off the sensor: timestamps in seconds + samples.
+    Each is held as a read-only copy."""
 
     timestamps: np.ndarray
     samples: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.timestamps, dtype=float)
-        x = np.asarray(self.samples, dtype=float)
+        t = np.array(self.timestamps, dtype=float)
+        x = np.array(self.samples, dtype=float)
+        t.flags.writeable = x.flags.writeable = False
         if t.ndim != 1 or x.ndim != 1 or t.size != x.size:
             raise InsufficientDataError(
                 f"timestamps and samples must be equal-length 1-d arrays, "

@@ -274,7 +274,9 @@ def align_to_reference(curves: list[Trajectory], reference: Trajectory,
     curve's distances are the amplitude distance under its warp, the
     warp's phase distance and the cosine distance of the aligned curve.
     A curve or reference whose L2 norm is below MIN_SIGNAL_NORM has no
-    cosine distance, so it raises DegenerateInputError.
+    cosine distance, so it raises DegenerateInputError, and so does a
+    curve above it whose aligned copy falls below it (a warp can step over
+    a narrow bump).
     """
     common_grid(curves)  # no curves: InsufficientDataError
     return _align_pairs([reference, *curves],
@@ -285,6 +287,8 @@ def align_pairwise(curves: list[Trajectory],
                    max_slope: int = DEFAULT_MAX_SLOPE) -> Alignment:
     """Curve j aligned onto curve i and scored, as `align_to_reference`
     does, for each (i, j) of `itertools.permutations(range(m), 2)`; all
-    m(m-1) warps are solved together."""
+    m(m-1) warps are solved together. It raises DegenerateInputError as
+    `align_to_reference` does: for a curve whose L2 norm, or whose aligned
+    copy's, is below MIN_SIGNAL_NORM."""
     return _align_pairs(curves, list(permutations(range(len(curves)), 2)),
                         max_slope)

@@ -400,6 +400,14 @@ class TestResultRecords:
         with pytest.raises(error, match=match):
             DistanceMatrix(["a", "b"], np.asarray(values))
 
+    def test_distance_matrix_holds_a_read_only_copy(self):
+        values = np.array([[0.0, 1.0], [1.0, 0.0]])
+        matrix = DistanceMatrix(["a", "b"], values)
+        values[0, 1] = -7.0
+        assert matrix.values.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.values[0, 1] = -7.0
+
     @pytest.mark.parametrize("p, dof, match", [
         (1.5, 3.0, r"p-value 1.5 outside \[0, 1\]"),
         (-0.1, 3.0, r"p-value -0.1 outside \[0, 1\]"),
@@ -535,6 +543,29 @@ class TestPairwiseMatrix:
         flat = Trajectory(grid101, np.zeros(101))
         with pytest.raises(DegenerateInputError, match="zero signal"):
             pairwise_matrix([wavy101, flat], metric, registered=True)
+
+    @pytest.mark.parametrize("call", [
+        lambda ref, tiny: align_to_reference([tiny], ref),
+        lambda ref, tiny: registration.align_pairwise([ref, tiny]),
+        lambda ref, tiny: pairwise_matrix([ref, tiny], "amplitude", True),
+        lambda ref, tiny: pairwise_matrix([ref, tiny], "phase", True),
+        lambda ref, tiny: pairwise_matrix([ref, tiny], "cosine", True),
+    ], ids=["align_to_reference", "align_pairwise", "amplitude", "phase",
+            "cosine"])
+    def test_registered_rejects_curve_whose_aligned_copy_is_flat(self, call):
+        # a unit spike at index 2 scaled to an L2 norm of 5e-12, above the
+        # ingest floor sqrt(7) x MIN_SIGNAL_NORM; the optimal warp steps over
+        # the spike, so the aligned copy is all zeros
+        grid = TimeGrid(31)
+        ref = Trajectory(grid, np.random.default_rng(3).normal(size=31)
+                         .cumsum())
+        spike = np.zeros(31)
+        spike[2] = 1.0
+        tiny = Trajectory(grid, spike * 5e-12 / l2_norm(spike, grid))
+        assert l2_norm(tiny.values, grid) > (
+            np.sqrt(7) * registration.MIN_SIGNAL_NORM)
+        with pytest.raises(DegenerateInputError, match="zero signal"):
+            call(ref, tiny)
 
 
 class TestOneSolvePerPair:

@@ -224,6 +224,52 @@ with worker_pool():
     print(json.dumps([os.getpid(), fork_map(pids, [1, 2], "outer")]))
 """
 
+# inside a block, forks child "A" before any map and child "B" after the
+# first; each child maps 2 items and prints whether they ran in it; last,
+# the parent prints its pid, its maps' pids and the children's exit codes
+FORKED_IN_A_BLOCK = """
+import json, os, signal, sys
+from motionshape.core import fork_map, worker_pool
+def pid(_):
+    return os.getpid()
+def fork(name):
+    sys.stdout.flush()
+    child = os.fork()
+    if child == 0:
+        signal.alarm(30)  # a map that never returns ends here
+        own = set(fork_map(pid, [1, 2], name)) == {os.getpid()}
+        print(json.dumps([name, own]), flush=True)
+        os._exit(0)
+    return child
+with worker_pool():
+    a = fork("A")
+    maps = fork_map(pid, [1, 2], "parent")
+    b = fork("B")
+    codes = [os.waitstatus_to_exitcode(os.waitpid(c, 0)[1]) for c in (a, b)]
+    maps += fork_map(pid, [1, 2], "parent")
+    print(json.dumps(["parent", os.getpid(), maps, codes]))
+"""
+
+# a child forked inside a block leaves it as the parent does; prints the pid
+# of each process that shuts a pool, then the parent's pid
+FORKED_CHILD_LEAVES_THE_BLOCK = """
+import os
+from concurrent.futures import ProcessPoolExecutor
+from motionshape.core import fork_map, worker_pool
+shutdown = ProcessPoolExecutor.shutdown
+def spy(self, *args, **kwargs):
+    print(os.getpid(), flush=True)
+    shutdown(self, *args, **kwargs)
+ProcessPoolExecutor.shutdown = spy
+with worker_pool():
+    fork_map(abs, [1, 2], "parent")
+    child = os.fork()
+if child == 0:
+    os._exit(0)
+os.waitpid(child, 0)
+print(os.getpid())
+"""
+
 
 class TestForkMap:
     @two_cpus
@@ -307,9 +353,35 @@ class TestForkMap:
             assert worker != parent and inner == [worker, worker]
 
     @two_cpus
+    def test_map_in_a_forked_child_runs_in_that_child(self):
+        # a child inherits the block's state but is outside the block: its
+        # map neither starts a pool of its own nor submits to its copy of
+        # the parent's, where it would never return
+        with python(FORKED_IN_A_BLOCK) as run:
+            try:
+                out, _ = run.communicate(timeout=90)
+            finally:
+                run.kill()
+        assert run.returncode == 0
+        *children, (_, parent, maps, codes) = map(json.loads, out.splitlines())
+        assert codes == [0, 0]
+        assert sorted(children) == [["A", True], ["B", True]]
+        assert len(maps) == 4 and parent not in maps
+
+    @two_cpus
+    def test_forked_child_leaves_the_pool_to_the_parent(self):
+        with python(FORKED_CHILD_LEAVES_THE_BLOCK) as run:
+            try:
+                out, _ = run.communicate(timeout=60)
+            finally:
+                run.kill()
+        assert run.returncode == 0
+        shut_by, parent = out.split()
+        assert shut_by == parent
+
+    @two_cpus
     def test_workers_start_off_linux(self, monkeypatch):
-        # there the workers' initializer only clears the pool state, and
-        # raises nothing
+        # there the workers' initializer does nothing, and raises nothing
         monkeypatch.setattr(sys, "platform", "darwin")
         with worker_pool():
             got = fork_map(pid_and_square, [1, 2], "demo")

@@ -9,6 +9,10 @@ imported (`from . import x` ... `x._name`).
 Only `cli.py` and `__init__.py` import `pipeline`, the stage chain, so no
 module below the chain depends on it, not even for type hints.
 
+Only `core.py` forks: no other module imports `multiprocessing` or
+`concurrent.futures`, or calls `os.fork`, so the rule of who owns the
+run's worker pool lives in one module.
+
 Every name `motionshape/__init__.py` imports from a module is in that
 module's `__all__`, and every `__all__` entry exists.
 
@@ -130,6 +134,47 @@ def test_only_the_cli_imports_the_stage_chain():
     assert sorted(p.name for p in PACKAGE.glob("*.py")
                   if "pipeline" in imported_modules(p.read_text())) == \
         ["__init__.py", "cli.py"]
+
+
+def fork_uses(source: str) -> list[str]:
+    """'line: what' for each import of a forking module and each `os.fork`
+    in `source`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "fork"
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            names = ["os.fork"]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names
+                  if f"{name}.".startswith(("os.fork.", "multiprocessing.",
+                                            "concurrent.futures."))]
+    return found
+
+
+@pytest.mark.parametrize("source, want", [
+    ("import multiprocessing\n", ["1: multiprocessing"]),
+    ("import os\nif os.fork() == 0:\n    pass\n", ["2: os.fork"]),
+    ("from os import fork\n", ["1: os.fork"]),
+    ("from concurrent.futures import ProcessPoolExecutor as P\n",
+     ["1: concurrent.futures.ProcessPoolExecutor"]),
+    ("from concurrent import futures\n", ["1: concurrent.futures"]),
+    ("def f():\n    import multiprocessing.pool\n",
+     ["2: multiprocessing.pool"]),
+    ("import os\nos.getpid()\nhasattr(os, 'fork')\nos.forkpty\n"
+     "import multiprocessingx, concurrent\n", []),
+])
+def test_fork_uses_are_found(source, want):
+    assert fork_uses(source) == want
+
+
+def test_only_core_forks():
+    assert sorted(p.name for p in PACKAGE.glob("*.py")
+                  if fork_uses(p.read_text())) == ["core.py"]
 
 
 def package_imports() -> list[tuple[str, str]]:

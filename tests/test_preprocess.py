@@ -38,6 +38,16 @@ class TestRawRecording:
                            match=r"equal-length .* got \(3,\) and \(2,\)"):
             RawRecording(np.arange(3.0), np.zeros(2))
 
+    def test_holds_read_only_copies(self):
+        t, x = np.arange(3.0), np.zeros(3)
+        rec = RawRecording(t, x)
+        t[2], x[0] = 0.5, np.nan
+        assert rec.timestamps.tolist() == [0.0, 1.0, 2.0]
+        assert rec.samples.tolist() == [0.0, 0.0, 0.0]
+        for held in (rec.timestamps, rec.samples):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 1.0
+
 
 class TestResample:
     def test_uniform_identity(self):
