@@ -24,6 +24,7 @@ from .core import (
     ParameterError,
     Trajectory,
     common_grid,
+    frozen,
     l2_norm,
 )
 from .registration import (
@@ -37,11 +38,15 @@ __all__ = [
     "DistanceMatrix",
     "TTestResult",
     "RegressionResult",
+    "ParticipantScore",
     "pairwise_matrix",
     "welch_t_test",
     "linear_regression",
     "rolling_correlation",
     "t_two_sided_pvalue",
+    "cohort_t_tests",
+    "cohort_regressions",
+    "block_summary",
 ]
 
 METRICS = ("amplitude", "phase", "cosine")
@@ -54,11 +59,12 @@ class DistanceMatrix:
 
     def __post_init__(self):
         # a read-only copy, so no later write can undo the checks below
-        v = np.array(self.values, dtype=float)
-        v.flags.writeable = False
+        v = frozen(self.values)
         m = len(self.labels)
         if v.shape != (m, m):
             raise DimensionError(f"expected {m}x{m} matrix, got {v.shape}")
+        if not np.all(np.isfinite(v)):  # NaN would pass every check below
+            raise DegenerateInputError("distance matrix has non-finite entries")
         if np.abs(np.diagonal(v)).max(initial=0.0) > 1e-9:
             raise DegenerateInputError("distance matrix diagonal is not zero")
         if np.abs(v - v.T).max(initial=0.0) > 1e-9:
@@ -286,8 +292,8 @@ def cohort_regressions(scores: list[ParticipantScore]) -> dict:
 def rolling_correlation(a: Trajectory, b: Trajectory, window: int) -> np.ndarray:
     """Pearson correlation over sliding windows (stride 1).
 
-    Returns one value per window position; windows where either side has
-    zero variance come back as NaN so positions stay aligned.
+    Returns a read-only array, one value per window; windows where either
+    side has zero variance come back as NaN so positions stay aligned.
     """
     n = common_grid([a, b]).n
     if not (3 <= window <= n):
@@ -301,7 +307,7 @@ def rolling_correlation(a: Trajectory, b: Trajectory, window: int) -> np.ndarray
     out = np.full(n - window + 1, np.nan)
     ok = denom2 > 0.0
     out[ok] = sxy[ok] / np.sqrt(denom2[ok])
-    return out
+    return frozen(out)
 
 
 # ---------------------------------------------------------------------------

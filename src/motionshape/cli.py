@@ -29,6 +29,8 @@ from .inputs import PipelineConfig
 from .outputs import (publish, write_alignment_csvs, write_distances_csv,
                       write_mean_csv, write_stats_json)
 
+__all__ = ["build_parser", "main"]
+
 
 def _add_common(p: argparse.ArgumentParser, needs_out: bool) -> None:
     p.add_argument("--manifest", required=True, type=Path,

@@ -29,6 +29,7 @@ __all__ = [
     "Warping",
     "DistanceTriple",
     "common_grid",
+    "frozen",
     "inner_product",
     "l2_norm",
     "fork_map",
@@ -52,15 +53,16 @@ class DegenerateInputError(ValueError):
     """Input that makes the operation undefined (e.g. an all-zero signal)."""
 
 
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def frozen(values) -> np.ndarray:
+    """A read-only float64 copy of `values`, as every array a type holds."""
+    out = np.array(values, dtype=float)
     out.flags.writeable = False
     return out
 
 
 def _sampled(values, grid: TimeGrid, what: str) -> np.ndarray:
     """`values` as a frozen 1-d finite array with one value per grid point."""
-    v = _frozen(values)
+    v = frozen(values)
     if v.ndim != 1 or v.size != grid.n:
         raise DimensionError(f"expected {grid.n} values, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -88,7 +90,7 @@ class TimeGrid(_Built):
         if self.n < 3:
             raise ParameterError(f"grid needs at least 3 points, got {self.n}")
         object.__setattr__(self, "points",
-                           _frozen(np.linspace(0.0, 1.0, self.n)))
+                           frozen(np.linspace(0.0, 1.0, self.n)))
 
     @property
     def spacing(self) -> float:
@@ -136,7 +138,7 @@ class Warping(_Built):
             raise DegenerateInputError("warping is decreasing")
         g = np.maximum.accumulate(np.clip(g, 0.0, 1.0))
         g[0], g[-1] = 0.0, 1.0
-        object.__setattr__(self, "gamma", _frozen(g))
+        object.__setattr__(self, "gamma", frozen(g))
 
     @classmethod
     def identity(cls, grid: TimeGrid) -> "Warping":

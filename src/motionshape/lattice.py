@@ -9,7 +9,9 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import DegenerateInputError, DimensionError
+from .core import DegenerateInputError, DimensionError, frozen
+
+__all__ = ["solve"]
 
 
 def _edge_steps(max_slope: int) -> list[tuple[int, int]]:
@@ -75,8 +77,7 @@ def _lattice_plan(n: int, max_slope: int) -> _LatticePlan:
         scales.append(np.broadcast_to(np.sqrt(b / a), at.shape).reshape(-1))
         groups.append(_StepGroup(a, group, slice(offset, offset + at.size)))
         offset += at.size
-    positions, scales = np.concatenate(positions), np.concatenate(scales)
-    positions.flags.writeable = scales.flags.writeable = False
+    positions, scales = (frozen(np.concatenate(p)) for p in (positions, scales))
     widest = max(g.edges.stop - g.edges.start for g in groups) * n
     return _LatticePlan(n, tuple(edges), tuple(groups), positions, scales,
                         widest, max(1, _BLOCK_BYTES // (8 * widest)))

@@ -47,6 +47,8 @@ __all__ = [
     "ingest",
     "IngestedTrial",
     "CohortReport",
+    "build_healthy_mean",
+    "score_against_mean",
     "stages",
     "write_report",
 ]

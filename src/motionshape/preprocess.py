@@ -17,6 +17,7 @@ from .core import (
     ParameterError,
     TimeGrid,
     Trajectory,
+    frozen,
 )
 
 __all__ = [
@@ -40,9 +41,7 @@ class RawRecording:
     samples: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.timestamps, dtype=float)
-        x = np.array(self.samples, dtype=float)
-        t.flags.writeable = x.flags.writeable = False
+        t, x = frozen(self.timestamps), frozen(self.samples)
         if t.ndim != 1 or x.ndim != 1 or t.size != x.size:
             raise InsufficientDataError(
                 f"timestamps and samples must be equal-length 1-d arrays, "

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
+from math import isfinite
 
 import numpy as np
 
@@ -166,14 +167,19 @@ def cosine_distance(b1: Trajectory, b2: Trajectory) -> float:
     """1 - normalized inner product; meant for already-aligned signals.
 
     Undefined, and rejected, when either signal's L2 norm is below
-    MIN_SIGNAL_NORM.
+    MIN_SIGNAL_NORM, or when the norms or the inner product overflow.
     """
     grid = common_grid([b1, b2])
-    n1 = l2_norm(b1.values, grid)
-    n2 = l2_norm(b2.values, grid)
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        n1 = l2_norm(b1.values, grid)
+        n2 = l2_norm(b2.values, grid)
+        ip = inner_product(b1.values, b2.values, grid)
     if n1 < MIN_SIGNAL_NORM or n2 < MIN_SIGNAL_NORM:
         raise DegenerateInputError("cosine distance undefined for a zero signal")
-    return 1.0 - inner_product(b1.values, b2.values, grid) / (n1 * n2)
+    if not (isfinite(n1 * n2) and isfinite(ip)):
+        raise DegenerateInputError(
+            f"cosine distance out of float range (norms {n1:g} and {n2:g})")
+    return 1.0 - ip / (n1 * n2)
 
 
 def warped_copy(traj: Trajectory, warp: Warping) -> Trajectory:
@@ -250,19 +256,26 @@ def phase_amplitude_separation(curves: list[Trajectory], max_iter: int = 20,
 
 
 def _align_pairs(curves: list[Trajectory], pairs: list[tuple[int, int]],
-                 max_slope: int) -> Alignment:
+                 max_slope: int, names: list[str]) -> Alignment:
     """curves[j] aligned onto curves[r] for each (r, j) in `pairs`, scored,
     in order. Each curve's SRVF is taken once, and every warp is solved in
-    one `_align_srvfs` call before any distance is computed."""
+    one `_align_srvfs` call before any distance is computed. A pair that
+    cannot be scored raises DegenerateInputError naming both curves by
+    `names`."""
     grid = common_grid(curves)
     qs = [to_srvf(c) for c in curves]
     warps, aligned_q = _align_srvfs([(qs[r], qs[j]) for r, j in pairs],
                                     max_slope)
     aligned = [warped_copy(curves[j], w) for (_, j), w in zip(pairs, warps)]
-    distances = [DistanceTriple(amplitude=l2_norm(qs[r].q - q, grid),
-                                phase=phase_distance(w),
-                                cosine=cosine_distance(curves[r], a))
-                 for (r, _), w, q, a in zip(pairs, warps, aligned_q, aligned)]
+    distances = []
+    for (r, j), w, q, a in zip(pairs, warps, aligned_q, aligned):
+        try:
+            distances.append(DistanceTriple(
+                amplitude=l2_norm(qs[r].q - q, grid), phase=phase_distance(w),
+                cosine=cosine_distance(curves[r], a)))
+        except DegenerateInputError as exc:
+            raise DegenerateInputError(
+                f"{names[j]} aligned onto {names[r]}: {exc}") from exc
     return Alignment(warps, aligned, distances)
 
 
@@ -276,11 +289,14 @@ def align_to_reference(curves: list[Trajectory], reference: Trajectory,
     A curve or reference whose L2 norm is below MIN_SIGNAL_NORM has no
     cosine distance, so it raises DegenerateInputError, and so does a
     curve above it whose aligned copy falls below it (a warp can step over
-    a narrow bump).
+    a narrow bump). The error starts "curve i aligned onto the reference: ",
+    i the curve's position in `curves`.
     """
     common_grid(curves)  # no curves: InsufficientDataError
     return _align_pairs([reference, *curves],
-                        [(0, j) for j in range(1, len(curves) + 1)], max_slope)
+                        [(0, j) for j in range(1, len(curves) + 1)], max_slope,
+                        ["the reference",
+                         *(f"curve {i}" for i in range(len(curves)))])
 
 
 def align_pairwise(curves: list[Trajectory],
@@ -289,6 +305,7 @@ def align_pairwise(curves: list[Trajectory],
     does, for each (i, j) of `itertools.permutations(range(m), 2)`; all
     m(m-1) warps are solved together. It raises DegenerateInputError as
     `align_to_reference` does: for a curve whose L2 norm, or whose aligned
-    copy's, is below MIN_SIGNAL_NORM."""
+    copy's, is below MIN_SIGNAL_NORM. The error starts "curve j aligned onto
+    curve i: "."""
     return _align_pairs(curves, list(permutations(range(len(curves)), 2)),
-                        max_slope)
+                        max_slope, [f"curve {i}" for i in range(len(curves))])

@@ -73,35 +73,31 @@ def write_cohort(out_dir: Path | str, n_healthy: int = 10, n_patients: int = 10,
     fine = TimeGrid(k)
     template = bimodal_template(fine).values
 
-    def emit(name: str, values: np.ndarray) -> str:
+    rows = []
+
+    def emit(name: str, pid: str, cohort: str, values: np.ndarray,
+             brooke: str, dyn: float) -> None:
+        """Write one trial's CSV and append its manifest row."""
         path = out / f"{name}.csv"
         with path.open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["time_s", "gyro"])
             for ts, v in zip(t_s, values):
                 w.writerow([f"{ts:.9g}", f"{v:.9g}"])
-        return path.name
+        rows.append({"participant_id": pid, "cohort": cohort,
+                     "trial_path": path.name, "brooke_score": brooke,
+                     "dynamometry": f"{dyn:.9g}"})
 
-    rows = []
     healthy_values = []
     for i in range(n_healthy):
         warp = random_smooth_warp(fine, rng, scale=0.35)
         values = np.interp(warp.gamma, t_norm, template)
         values = values + rng.normal(0.0, _NOISE_SD, k)
         healthy_values.append(values)
-        name = f"healthy_{i:02d}"
-        dyn = 20.0 * float(rng.uniform(0.95, 1.1))
-        rows.append({
-            "participant_id": f"H{i:02d}",
-            "cohort": "healthy",
-            "trial_path": emit(name, values),
-            "brooke_score": "",
-            "dynamometry": f"{dyn:.9g}",
-        })
+        emit(f"healthy_{i:02d}", f"H{i:02d}", "healthy", values, "",
+             20.0 * float(rng.uniform(0.95, 1.1)))
 
     for i in range(n_patients):
-        pid = f"P{i:02d}"
-        cohort = "DMD" if i % 2 == 0 else "SMA"
         if null_effect:
             values = healthy_values[i % n_healthy]
             severity = 1.0
@@ -113,13 +109,8 @@ def write_cohort(out_dir: Path | str, n_healthy: int = 10, n_patients: int = 10,
             values = values + rng.normal(0.0, _NOISE_SD, k)
         dyn = 20.0 * severity + float(rng.normal(0.0, 0.4))
         brooke = int(np.clip(round(6 - 5 * severity), 1, 6))
-        rows.append({
-            "participant_id": pid,
-            "cohort": cohort,
-            "trial_path": emit(f"patient_{i:02d}", values),
-            "brooke_score": str(brooke),
-            "dynamometry": f"{dyn:.9g}",
-        })
+        emit(f"patient_{i:02d}", f"P{i:02d}", "DMD" if i % 2 == 0 else "SMA",
+             values, str(brooke), dyn)
 
     manifest = out / "manifest.csv"
     with manifest.open("w", newline="") as fh:

@@ -395,7 +395,9 @@ class TestResultRecords:
         ([[1.0, 0.0], [0.0, 0.0]], DegenerateInputError, "diagonal is not zero"),
         ([[0.0, 1.0], [2.0, 0.0]], DegenerateInputError, "not symmetric"),
         ([[0.0, -1.0], [-1.0, 0.0]], DegenerateInputError, "negative entries"),
-    ], ids=["shape", "diagonal", "asymmetric", "negative"])
+        ([[0.0, np.nan], [np.nan, 0.0]], DegenerateInputError, "non-finite"),
+        ([[0.0, np.inf], [np.inf, 0.0]], DegenerateInputError, "non-finite"),
+    ], ids=["shape", "diagonal", "asymmetric", "negative", "nan", "inf"])
     def test_distance_matrix_rejects(self, values, error, match):
         with pytest.raises(error, match=match):
             DistanceMatrix(["a", "b"], np.asarray(values))
@@ -461,6 +463,11 @@ class TestRollingCorrelation:
         assert np.isnan(out[0])
         assert out.size == 101 - 10 + 1
         assert np.isfinite(out[-1])
+
+    def test_result_is_read_only(self, wavy101):
+        out = rolling_correlation(wavy101, wavy101, 11)
+        with pytest.raises(ValueError, match="read-only"):
+            out[0] = 0.0
 
     @pytest.mark.parametrize("window", [2, 102, 0])
     def test_window_out_of_range(self, wavy101, window):
@@ -553,19 +560,51 @@ class TestPairwiseMatrix:
     ], ids=["align_to_reference", "align_pairwise", "amplitude", "phase",
             "cosine"])
     def test_registered_rejects_curve_whose_aligned_copy_is_flat(self, call):
-        # a unit spike at index 2 scaled to an L2 norm of 5e-12, above the
-        # ingest floor sqrt(7) x MIN_SIGNAL_NORM; the optimal warp steps over
-        # the spike, so the aligned copy is all zeros
-        grid = TimeGrid(31)
-        ref = Trajectory(grid, np.random.default_rng(3).normal(size=31)
-                         .cumsum())
-        spike = np.zeros(31)
-        spike[2] = 1.0
-        tiny = Trajectory(grid, spike * 5e-12 / l2_norm(spike, grid))
-        assert l2_norm(tiny.values, grid) > (
+        ref, tiny = spike_below_a_warp()
+        assert l2_norm(tiny.values, tiny.grid) > (
             np.sqrt(7) * registration.MIN_SIGNAL_NORM)
         with pytest.raises(DegenerateInputError, match="zero signal"):
             call(ref, tiny)
+
+    @pytest.mark.parametrize("call, pair", [
+        (lambda ref, tiny: align_to_reference([tiny], ref),
+         "curve 0 aligned onto the reference"),
+        (lambda ref, tiny: align_to_reference([ref, tiny], ref),
+         "curve 1 aligned onto the reference"),
+        (lambda ref, tiny: registration.align_pairwise([ref, tiny]),
+         "curve 1 aligned onto curve 0"),
+        (lambda ref, tiny: registration.align_pairwise([tiny, ref]),
+         "curve 0 aligned onto curve 1"),
+        (lambda ref, tiny: pairwise_matrix([ref, tiny], "amplitude", True),
+         "curve 1 aligned onto curve 0"),
+    ], ids=["align_to_reference", "align_to_reference_second",
+            "align_pairwise", "align_pairwise_first", "pairwise_matrix"])
+    def test_registered_error_names_the_pair(self, call, pair):
+        ref, tiny = spike_below_a_warp()
+        with pytest.raises(DegenerateInputError,
+                           match=f"^{pair}: cosine distance undefined for a "
+                                 f"zero signal$"):
+            call(ref, tiny)
+
+    def test_unregistered_cosine_refuses_overflow(self):
+        grid = TimeGrid(31)
+        t = np.linspace(0, 3, 31)
+        curves = [Trajectory(grid, 1e200 * np.sin(t)),
+                  Trajectory(grid, 1e200 * np.cos(t))]
+        with pytest.raises(DegenerateInputError, match="out of float range"):
+            pairwise_matrix(curves, "cosine", registered=False)
+
+
+def spike_below_a_warp() -> tuple[Trajectory, Trajectory]:
+    """A reference, and a unit spike at index 2 scaled to an L2 norm of
+    5e-12, above the ingest floor sqrt(7) x MIN_SIGNAL_NORM. The optimal
+    warp of the spike onto the reference steps over it, so the aligned copy
+    is all zeros."""
+    grid = TimeGrid(31)
+    ref = Trajectory(grid, np.random.default_rng(3).normal(size=31).cumsum())
+    spike = np.zeros(31)
+    spike[2] = 1.0
+    return ref, Trajectory(grid, spike * 5e-12 / l2_norm(spike, grid))
 
 
 class TestOneSolvePerPair:

@@ -13,8 +13,12 @@ Only `core.py` forks: no other module imports `multiprocessing` or
 `concurrent.futures`, or calls `os.fork`, so the rule of who owns the
 run's worker pool lives in one module.
 
-Every name `motionshape/__init__.py` imports from a module is in that
-module's `__all__`, and every `__all__` entry exists.
+Only `core.py` sets an array's `flags.writeable` or calls `setflags`: every
+read-only array a type holds comes from `core.frozen`.
+
+Every module has an `__all__` that lists each public function and class it
+defines. Every name `motionshape/__init__.py` imports from a module is in
+that module's `__all__`, and every `__all__` entry exists.
 
 Every `module.name` the README's prose names in backticks, for one of the
 package's modules, and every name a README `python` block imports, exists.
@@ -177,6 +181,59 @@ def test_only_core_forks():
                   if fork_uses(p.read_text())) == ["core.py"]
 
 
+def writeable_sets(source: str) -> list[str]:
+    """'line: what' for each store into an array's `flags` and each use of
+    `setflags` in `source`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Attribute, ast.Subscript))
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "flags"):
+            what = (f".flags.{node.attr}" if isinstance(node, ast.Attribute)
+                    else ".flags[...]")
+            found.append(f"{node.lineno}: {what}")
+        elif isinstance(node, ast.Attribute) and node.attr == "setflags":
+            found.append(f"{node.lineno}: .setflags")
+    return found
+
+
+@pytest.mark.parametrize("source, want", [
+    ("a.flags.writeable = False\n", ["1: .flags.writeable"]),
+    ("t.flags.writeable = x.flags.writeable = False\n",
+     ["1: .flags.writeable", "1: .flags.writeable"]),
+    ("a, b.flags.writeable = 1, False\n", ["1: .flags.writeable"]),
+    ("x = 1\na.flags['WRITEABLE'] = False\n", ["2: .flags[...]"]),
+    ("np.ones(3).setflags(write=False)\n", ["1: .setflags"]),
+    ("if not a.flags.writeable:\n    a = a.copy()\nx.flags = 1\n"
+     "ok = a.flags['WRITEABLE']\n", []),
+])
+def test_writeable_sets_are_found(source, want):
+    assert writeable_sets(source) == want
+
+
+def test_only_core_sets_writeable():
+    assert sorted(p.name for p in PACKAGE.glob("*.py")
+                  if writeable_sets(p.read_text())) == ["core.py"]
+
+
+def public_definitions(source: str) -> list[str]:
+    """The public functions and classes `source` defines at module level."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_lists_public_definitions(module):
+    found = import_module(f"{PACKAGE.name}.{module}")
+    assert hasattr(found, "__all__")
+    defined = public_definitions((PACKAGE / f"{module}.py").read_text())
+    assert defined
+    assert [name for name in defined if name not in found.__all__] == []
+
+
 def package_imports() -> list[tuple[str, str]]:
     """(module, name) of each name `__init__.py` imports from a module."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
@@ -193,9 +250,7 @@ def test_package_imports_only_exported_names():
             ] == []
 
 
-@pytest.mark.parametrize("module", [
-    m for m in MODULES
-    if hasattr(import_module(f"{PACKAGE.name}.{m}"), "__all__")])
+@pytest.mark.parametrize("module", MODULES)
 def test_all_entries_exist(module):
     found = import_module(f"{PACKAGE.name}.{module}")
     assert [name for name in found.__all__ if not hasattr(found, name)] == []

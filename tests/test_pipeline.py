@@ -530,6 +530,12 @@ class TestRunPipeline:
         assert set(rows[0]) == {"participant", "cohort", "amplitude",
                                 "phase", "cosine"}
 
+    def test_rolling_correlations_are_read_only(self, cohort_dir):
+        _, run = list(stages(cohort_dir, PipelineConfig(**FAST)))[-1]
+        assert len(run.rolling) == len(run.scores)
+        assert [label for label, r in run.rolling.items()
+                if r.flags.writeable] == []
+
     def test_skip_bad_counted_in_stats(self, cohort_dir, tmp_path):
         m = extend_manifest(cohort_dir, "with_bad.csv",
                             [trial_row("PX", "ghost.csv")])

@@ -466,6 +466,18 @@ class TestCosineDistance:
         with pytest.raises(DegenerateInputError):
             cosine_distance(wavy101, zero)
 
+    @pytest.mark.parametrize("scale", [1e200, 1.0],
+                             ids=["both_overflow", "one_overflows"])
+    def test_overflow_rejected(self, scale):
+        # at 1e200 the inner product sums +inf and -inf to NaN; at 1.0 only
+        # the norm of `a` overflows
+        grid = TimeGrid(31)
+        t = np.linspace(0, 3, 31)
+        a = Trajectory(grid, 1e200 * np.sin(t))
+        b = Trajectory(grid, scale * np.cos(t))
+        with pytest.raises(DegenerateInputError, match="out of float range"):
+            cosine_distance(a, b)
+
 
 class TestPhaseAmplitudeSeparation:
     def test_identical_inputs(self, wavy101):
